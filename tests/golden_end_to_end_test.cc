@@ -18,10 +18,13 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/csv.h"
+#include "common/fnv.h"
 #include "core/adaptive_sweep.h"
 #include "core/explorer.h"
 #include "core/report.h"
@@ -97,6 +100,16 @@ const GoldenRegion kGaleport = {
     [](size_t h) { return 360.0 + static_cast<double>(h % 24); },
 };
 
+/** FNV-1a over the raw bytes of @p series in turn. */
+std::string
+seriesDigest(const std::vector<std::span<const double>> &series)
+{
+    uint64_t digest = kFnvOffsetBasis;
+    for (const std::span<const double> values : series)
+        digest = fnv1a64Bytes(values.data(), values.size_bytes(), digest);
+    return fnvHex(digest);
+}
+
 std::string
 tracePath(const GoldenRegion &r)
 {
@@ -128,7 +141,8 @@ writeTraceCsv(const GoldenRegion &r)
  * optima, the combined strategy's Pareto frontier, and the carbon
  * waterfall of the combined optimum — exactly what the CLI's
  * optimize and explain commands print, minus anything run-dependent
- * (timings, paths, thread counts).
+ * (timings, paths, thread counts) — plus digests of every hourly
+ * column the optimum's flight recording and simulate() series carry.
  */
 std::string
 renderReport(const GoldenRegion &r)
@@ -171,6 +185,19 @@ renderReport(const GoldenRegion &r)
     const ExplainResult ex = explorer.explain(
         combined.result.best.point, Strategy::RenewableBatteryCas);
     printCarbonWaterfall(out, ex);
+
+    std::vector<std::span<const double>> columns;
+    for (const std::vector<double> *column : ex.recording.columns())
+        columns.emplace_back(*column);
+    out << "\nrecording digest: " << seriesDigest(columns) << '\n';
+    const SimulationResult sim = explorer.simulate(
+        combined.result.best.point, Strategy::RenewableBatteryCas);
+    out << "simulate digest: "
+        << seriesDigest({sim.served_power.values(),
+                         sim.grid_power.values(),
+                         sim.battery_soc.values(),
+                         sim.battery_flow.values()})
+        << '\n';
     return out.str();
 }
 

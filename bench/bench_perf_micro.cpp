@@ -1,7 +1,7 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the framework's hot paths:
- * trace synthesis, coverage evaluation, the co-simulation engine,
+ * trace synthesis, coverage evaluation, the co-simulation kernel,
  * the greedy scheduler, and a full design-space search.
  */
 
@@ -26,7 +26,6 @@
 #include "scheduler/batched_engine.h"
 #include "scheduler/greedy_scheduler.h"
 #include "scheduler/simulation_batch.h"
-#include "scheduler/simulation_engine.h"
 
 namespace
 {
@@ -71,18 +70,38 @@ BM_CoverageEvaluation(benchmark::State &state)
 }
 BENCHMARK(BM_CoverageEvaluation);
 
+/** One design point as a one-lane batch, at 80 MW solar + 80 MW wind. */
+SimulationBatch
+singleLane(const CarbonExplorer &ex, bool battery_cas)
+{
+    static const BatteryChemistry chem =
+        BatteryChemistry::lithiumIronPhosphate();
+    BatchLaneConfig lane;
+    lane.solar_mw = MegaWatts(80.0);
+    lane.wind_mw = MegaWatts(80.0);
+    lane.capacity_cap_mw = MegaWatts(ex.dcPeakPowerMw());
+    if (battery_cas) {
+        lane.capacity_cap_mw = MegaWatts(1.5 * ex.dcPeakPowerMw());
+        lane.flexible_ratio = Fraction(0.4);
+        lane.chemistry = &chem;
+        lane.battery_capacity_mwh = MegaWattHours(150.0);
+    }
+    SimulationBatch batch(1);
+    batch.addLane(lane);
+    return batch;
+}
+
 void
 BM_SimulationYearNoBattery(benchmark::State &state)
 {
     const CarbonExplorer &ex = sharedExplorer();
-    const TimeSeries supply =
-        ex.coverageAnalyzer().supplyFor(MegaWatts(80.0), MegaWatts(80.0));
-    const SimulationEngine engine(ex.dcPower(), supply);
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(ex.dcPeakPowerMw());
+    const CoverageAnalyzer &cov = ex.coverageAnalyzer();
+    const BatchedSimulationEngine engine(ex.dcPower(), cov.solarShape(),
+                                         cov.windShape());
+    SimulationBatch batch = singleLane(ex, false);
     for (auto _ : state) {
-        SimulationResult r = engine.run(cfg);
-        benchmark::DoNotOptimize(r.coverage_pct);
+        engine.run(batch);
+        benchmark::DoNotOptimize(batch.result(0).coverage_pct);
     }
 }
 BENCHMARK(BM_SimulationYearNoBattery);
@@ -91,18 +110,13 @@ void
 BM_SimulationYearBatteryCas(benchmark::State &state)
 {
     const CarbonExplorer &ex = sharedExplorer();
-    const TimeSeries supply =
-        ex.coverageAnalyzer().supplyFor(MegaWatts(80.0), MegaWatts(80.0));
-    const SimulationEngine engine(ex.dcPower(), supply);
-    ClcBattery battery(MegaWattHours(150.0),
-                       BatteryChemistry::lithiumIronPhosphate());
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(1.5 * ex.dcPeakPowerMw());
-    cfg.flexible_ratio = Fraction(0.4);
-    cfg.battery = &battery;
+    const CoverageAnalyzer &cov = ex.coverageAnalyzer();
+    const BatchedSimulationEngine engine(ex.dcPower(), cov.solarShape(),
+                                         cov.windShape());
+    SimulationBatch batch = singleLane(ex, true);
     for (auto _ : state) {
-        SimulationResult r = engine.run(cfg);
-        benchmark::DoNotOptimize(r.coverage_pct);
+        engine.run(batch);
+        benchmark::DoNotOptimize(batch.result(0).coverage_pct);
     }
 }
 BENCHMARK(BM_SimulationYearBatteryCas);
@@ -110,28 +124,22 @@ BENCHMARK(BM_SimulationYearBatteryCas);
 // The flight-recorder zero-overhead contract, measured: the same
 // battery+CAS year with recording off must match the plain
 // BM_SimulationYearBatteryCas row (the off path adds one null check
-// per hour), and the recorder-on row bounds the opt-in cost of
+// per lane-hour), and the recorder-on row bounds the opt-in cost of
 // `carbonx explain`.
 void
 BM_SimulateRecorded(benchmark::State &state)
 {
     const CarbonExplorer &ex = sharedExplorer();
-    const TimeSeries supply =
-        ex.coverageAnalyzer().supplyFor(MegaWatts(80.0), MegaWatts(80.0));
-    const SimulationEngine engine(ex.dcPower(), supply);
-    ClcBattery battery(MegaWattHours(150.0),
-                       BatteryChemistry::lithiumIronPhosphate());
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(1.5 * ex.dcPeakPowerMw());
-    cfg.flexible_ratio = Fraction(0.4);
-    cfg.battery = &battery;
-    cfg.grid_intensity = &ex.gridIntensity();
+    const CoverageAnalyzer &cov = ex.coverageAnalyzer();
+    const BatchedSimulationEngine engine(ex.dcPower(), cov.solarShape(),
+                                         cov.windShape(),
+                                         &ex.gridIntensity());
+    SimulationBatch batch = singleLane(ex, true);
     obs::FlightRecorder recorder;
-    if (state.range(0) != 0)
-        cfg.recorder = &recorder;
+    obs::FlightRecorder *rec = state.range(0) != 0 ? &recorder : nullptr;
     for (auto _ : state) {
-        SimulationResult r = engine.run(cfg);
-        benchmark::DoNotOptimize(r.coverage_pct);
+        engine.run(batch, rec);
+        benchmark::DoNotOptimize(batch.result(0).coverage_pct);
     }
 }
 BENCHMARK(BM_SimulateRecorded)
@@ -449,34 +457,30 @@ BM_BatteryYearOfHourlySteps(benchmark::State &state)
 BENCHMARK(BM_BatteryYearOfHourlySteps);
 
 // Harness-level guard on the recorder's zero-overhead contract:
-// median wall time of the battery+CAS year with a null recorder
-// pointer must stay within noise of the identical run without the
-// recorder member touched at all. Medians of repeated ~ms runs are
+// median wall time of the battery+CAS one-lane year with a null
+// recorder and the intensity series attached (the explain path's
+// engine) must stay within noise of the same lane on a bare engine. Medians of repeated ~ms runs are
 // stable enough for a generous 25% fence; a real regression (a
 // recording branch leaking into the disabled path) shows up as 2x+.
 bool
 recorderOffWithinNoise()
 {
     const CarbonExplorer &ex = sharedExplorer();
-    const TimeSeries supply =
-        ex.coverageAnalyzer().supplyFor(MegaWatts(80.0), MegaWatts(80.0));
-    const SimulationEngine engine(ex.dcPower(), supply);
-    ClcBattery battery(MegaWattHours(150.0),
-                       BatteryChemistry::lithiumIronPhosphate());
-    SimulationConfig baseline;
-    baseline.capacity_cap_mw = MegaWatts(1.5 * ex.dcPeakPowerMw());
-    baseline.flexible_ratio = Fraction(0.4);
-    baseline.battery = &battery;
-    SimulationConfig recorder_off = baseline;
-    recorder_off.grid_intensity = &ex.gridIntensity();
-    recorder_off.recorder = nullptr;
+    const CoverageAnalyzer &cov = ex.coverageAnalyzer();
+    const BatchedSimulationEngine baseline(ex.dcPower(), cov.solarShape(),
+                                           cov.windShape());
+    const BatchedSimulationEngine recorder_off(
+        ex.dcPower(), cov.solarShape(), cov.windShape(),
+        &ex.gridIntensity());
+    SimulationBatch batch = singleLane(ex, true);
 
-    const auto median_us = [&](const SimulationConfig &cfg) {
+    const auto median_us = [&](const BatchedSimulationEngine &engine,
+                               obs::FlightRecorder *recorder) {
         std::vector<double> samples;
         for (int i = 0; i < 9; ++i) {
             const auto start = std::chrono::steady_clock::now();
-            SimulationResult r = engine.run(cfg);
-            benchmark::DoNotOptimize(r.coverage_pct);
+            engine.run(batch, recorder);
+            benchmark::DoNotOptimize(batch.result(0).coverage_pct);
             const std::chrono::duration<double, std::micro> us =
                 std::chrono::steady_clock::now() - start;
             samples.push_back(us.count());
@@ -485,9 +489,10 @@ recorderOffWithinNoise()
         return samples[samples.size() / 2];
     };
 
-    median_us(baseline); // Warm the caches before timing either path.
-    const double base_us = median_us(baseline);
-    const double off_us = median_us(recorder_off);
+    // Warm the caches before timing either path.
+    median_us(baseline, nullptr);
+    const double base_us = median_us(baseline, nullptr);
+    const double off_us = median_us(recorder_off, nullptr);
     const bool ok = off_us <= base_us * 1.25;
     std::cerr << "recorder-off overhead check: baseline "
               << base_us << " us, recorder-off " << off_us << " us ("

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.h"
 
@@ -93,6 +94,19 @@ BatteryChemistry::sodiumIon()
     c.embodied_kg_per_kwh = 70.0;
     c.cycle_life = {{0.6, 6000.0}, {0.8, 3500.0}, {1.0, 2000.0}};
     c.calendar_life_years = 12.0;
+    return c;
+}
+
+BatteryChemistry
+BatteryChemistry::ideal()
+{
+    BatteryChemistry c = lithiumIronPhosphate();
+    c.name = "ideal";
+    c.charge_efficiency = 1.0;
+    c.discharge_efficiency = 1.0;
+    c.max_charge_c_rate = std::numeric_limits<double>::infinity();
+    c.max_discharge_c_rate = std::numeric_limits<double>::infinity();
+    c.depth_of_discharge = 1.0;
     return c;
 }
 

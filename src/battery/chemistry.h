@@ -97,6 +97,14 @@ struct BatteryChemistry
 
     /** Sodium-ion preset: lower embodied footprint, fewer cycles. */
     static BatteryChemistry sodiumIon();
+
+    /**
+     * Ideal storage: lossless, unbounded C-rates, full DoD — the
+     * upper-bound baseline for ablations against the physical presets
+     * (IdealBattery's behaviour as a chemistry). Life-cycle figures
+     * are LFP's.
+     */
+    static BatteryChemistry ideal();
 };
 
 } // namespace carbonx

@@ -54,8 +54,9 @@
 #include "battery/ideal_battery.h"
 
 // Scheduling and simulation.
+#include "scheduler/batched_engine.h"
 #include "scheduler/greedy_scheduler.h"
-#include "scheduler/simulation_engine.h"
+#include "scheduler/simulation_batch.h"
 #include "scheduler/tiered_scheduler.h"
 
 // Carbon accounting.

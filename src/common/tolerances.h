@@ -32,6 +32,19 @@ inline constexpr double kCapacityCapSlackMw = 1e-9;
 inline constexpr double kUnitIntervalSlack = 1e-9;
 
 /**
+ * Dispatch quantum of the co-simulation kernel: a leftover surplus
+ * (MW), a backlog slice that could run this hour (MW), or a backlog
+ * entry (MWh over the one-hour step) at or below this is treated as
+ * zero. The surplus and backlog arithmetic subtracts megawatt-scale
+ * operands, so exact zeros come back as ULP-sized residues (~1e-14 at
+ * 100 MW); without a cut-off the drain loop would chase those crumbs
+ * slice by slice and the battery would be offered vanishing surpluses.
+ * 1e-12 MW (a microwatt) sits well above that residue and far below
+ * any physical flow.
+ */
+inline constexpr double kNegligibleDispatch = 1e-12;
+
+/**
  * Slack (in years) when comparing asset-replacement schedules against
  * year boundaries in the horizon planner.
  */

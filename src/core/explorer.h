@@ -35,7 +35,7 @@
 #include "obs/recorder.h"
 #include "obs/status.h"
 #include "scheduler/simulation_batch.h"
-#include "scheduler/simulation_engine.h"
+#include "timeseries/timeseries.h"
 
 namespace carbonx
 {
@@ -183,6 +183,24 @@ struct OptimizationResult
 };
 
 /**
+ * One simulated year in full: the lane aggregates plus four hourly
+ * series copied from the run's flight recording.
+ */
+struct SimulationResult : BatchLaneResult
+{
+    TimeSeries served_power;   ///< Power actually consumed per hour (MW).
+    TimeSeries grid_power;     ///< Carbon-intensive grid draw (MW).
+    TimeSeries battery_soc;    ///< State of charge at hour end.
+    TimeSeries battery_flow;   ///< +MW charging, -MW discharging.
+
+    explicit SimulationResult(int year)
+        : served_power(year), grid_power(year), battery_soc(year),
+          battery_flow(year)
+    {
+    }
+};
+
+/**
  * Full forensic detail of one design point: the carbon evaluation,
  * the simulation aggregates, and the hour-by-hour flight recording —
  * everything `carbonx explain` and the invariant auditor need to
@@ -191,7 +209,7 @@ struct OptimizationResult
 struct ExplainResult
 {
     Evaluation evaluation;
-    SimulationResult simulation;
+    BatchLaneResult simulation;
     obs::FlightRecorder recording;
 
     /** Capacity cap the run was configured with. */
@@ -275,7 +293,7 @@ class CarbonExplorer
 
     /**
      * Re-run one design point with the flight recorder attached:
-     * same engine, same inputs, so the evaluation is bit-identical
+     * same kernel, same inputs, so the evaluation is bit-identical
      * to evaluate() — plus the full hourly recording (carbon column
      * included) ready for auditing and timeline export.
      */
@@ -440,42 +458,24 @@ class CarbonExplorer
     OptimizationResult optimizePass(const DesignSpace &space,
                                     Strategy strategy, int pass) const;
 
-    SimulationConfig
-    simulationConfig(const DesignPoint &point, Strategy strategy,
-                     BatteryModel *battery) const;
-
     /**
-     * Batched-lane equivalent of simulationConfig: same cap/ratio/
-     * window/battery mapping, expressed as a BatchLaneConfig for the
-     * SoA sweep kernel. laneConfig(p) and simulationConfig(p) always
-     * describe the identical simulation.
+     * The kernel lane simulating @p point under @p strategy: capacity
+     * cap, flexible ratio, SLO window and battery mapped from the
+     * strategy and the explorer's configuration.
      */
     BatchLaneConfig laneConfig(const DesignPoint &point,
                                Strategy strategy) const;
 
-    Evaluation
-    evaluationFrom(const DesignPoint &point, Strategy strategy,
-                   const SimulationResult &sim) const;
-
-    Evaluation
-    evaluationFrom(const DesignPoint &point, Strategy strategy,
-                   const BatchLaneResult &lane) const;
-
     /**
-     * Shared tail of both evaluationFrom overloads: carbon
-     * attribution from the simulation aggregates. Taking the
-     * aggregates by value keeps the scalar and batched paths
-     * bit-identical by construction — both feed the same numbers
-     * through the same arithmetic.
+     * Run @p lane alone, as a one-lane batch over the explorer's
+     * traces, streaming its hours into @p recorder when non-null.
      */
-    Evaluation
-    evaluationFromParts(const DesignPoint &point, Strategy strategy,
-                        double coverage_pct,
-                        KilogramsCo2 operational_kg,
-                        MegaWattHours renewable_used_mwh,
-                        double battery_cycles,
-                        MegaWattHours deferred_mwh,
-                        MegaWattHours renewable_excess_mwh) const;
+    BatchLaneResult runLane(const BatchLaneConfig &lane,
+                            obs::FlightRecorder *recorder = nullptr) const;
+
+    /** Carbon attribution of one simulated lane. */
+    Evaluation evaluationFrom(const DesignPoint &point, Strategy strategy,
+                              const BatchLaneResult &lane) const;
 
     ExplorerConfig config_;
     GridTrace grid_trace_;

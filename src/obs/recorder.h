@@ -1,19 +1,20 @@
 /**
  * @file
  * Simulation flight recorder: an opt-in, caller-owned columnar buffer
- * that SimulationEngine::run fills with one row per simulated hour.
+ * that the co-simulation kernel (BatchedSimulationEngine::run) fills
+ * with one row per simulated hour of a one-lane batch.
  *
- * The sweep treats every SimulationEngine::run as a black box — it
- * keeps only the aggregates in SimulationResult. The recorder opens
- * the box: when a FlightRecorder is attached to a SimulationConfig,
- * the engine streams the full hourly state (load, served power,
+ * The sweep treats every lane as a black box — it keeps only the
+ * aggregates in BatchLaneResult. The recorder opens the box: when a
+ * FlightRecorder is handed to the kernel with a one-lane batch, the
+ * kernel streams the lane's full hourly state (load, served power,
  * renewable use, grid draw, battery charge/discharge/energy content,
  * curtailment, CAS-shifted energy, backlog, hourly operational
  * carbon) into the recorder's column vectors.
  *
- * Zero-overhead contract: with no recorder attached the engine pays
- * one null-pointer check per hour and nothing else — no branches into
- * recording code, no extra stores — so the parallel sweep stays
+ * Zero-overhead contract: with no recorder attached the kernel pays
+ * one null-pointer check per lane-hour and nothing else — no branches
+ * into recording code, no extra stores — so the parallel sweep stays
  * bit-identical and its throughput unchanged (guarded by
  * BM_SimulateRecorded in bench_perf_micro).
  *
@@ -23,7 +24,7 @@
  * cheaply in the determinism tests. HourlyRecord is the row view used
  * to fill and read single hours.
  *
- * Writing discipline: only src/scheduler (the engine) and src/obs
+ * Writing discipline: only src/scheduler (the kernel) and src/obs
  * (the auditor's test fixtures) may assign HourlyRecord fields
  * directly; everyone else consumes recordings read-only. carbonx-lint
  * enforces this (rule recorder-field-write).
@@ -39,9 +40,9 @@ namespace carbonx::obs
 {
 
 /**
- * One simulated hour, in the engine's native raw doubles. Units are
+ * One simulated hour, in the kernel's native raw doubles. Units are
  * fixed per field (MW, MWh, kg CO2) and named in the suffix; the
- * strong unit types stop at the engine boundary because the recorder
+ * strong unit types stop at the kernel boundary because the recorder
  * is a bulk byte sink, not an arithmetic participant.
  */
 struct HourlyRecord
@@ -63,18 +64,18 @@ struct HourlyRecord
 };
 
 /**
- * Caller-owned recording target. Construct once, attach to a
- * SimulationConfig via its `recorder` member, and read the columns
- * after the run. A recorder may be reused across runs: begin() resets
- * it while keeping the columns' capacity, so a reused recorder
- * allocates only on its first year.
+ * Caller-owned recording target. Construct once, pass to
+ * BatchedSimulationEngine::run with a one-lane batch, and read the
+ * columns after the run. A recorder may be reused across runs:
+ * begin() resets it while keeping the columns' capacity, so a reused
+ * recorder allocates only on its first year.
  */
 class FlightRecorder
 {
   public:
     /**
      * Start a recording of @p hours rows for calendar @p year.
-     * @p with_carbon marks whether the engine has an intensity series
+     * @p with_carbon marks whether the kernel has an intensity series
      * and will fill the carbon column (hasCarbon() lets consumers
      * distinguish "no grid draw" from "intensity unknown").
      */

@@ -8,6 +8,7 @@
 #include "common/tolerances.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/recorder.h"
 #include "obs/trace.h"
 
 namespace carbonx
@@ -33,7 +34,8 @@ BatchedSimulationEngine::BatchedSimulationEngine(
 }
 
 void
-BatchedSimulationEngine::run(SimulationBatch &batch) const
+BatchedSimulationEngine::run(SimulationBatch &batch,
+                             obs::FlightRecorder *recorder) const
 {
     CARBONX_SPAN("sim/batch_run");
     static auto &c_batches = obs::counter("sim.batch_runs");
@@ -50,6 +52,8 @@ BatchedSimulationEngine::run(SimulationBatch &batch) const
     static auto &g_fill = obs::gauge("sim.batch_fill_lanes");
 
     const size_t m = batch.size_;
+    if (recorder != nullptr && m != 1)
+        throw UserError("a flight recorder needs a one-lane batch");
     if (m == 0)
         return;
     g_fill.set(static_cast<double>(m));
@@ -138,6 +142,13 @@ BatchedSimulationEngine::run(SimulationBatch &batch) const
     double *acc_peak = batch.acc_peak_.data();
     double *acc_carbon = batch.acc_carbon_.data();
 
+    if (recorder != nullptr)
+        recorder->begin(dc_power_.year(), n, inten != nullptr);
+    // Previous-hour snapshots of the two monotone accumulators, used
+    // to derive per-hour deltas for the recording.
+    double prev_deferred = 0.0;
+    double prev_violation = 0.0;
+
     const double dt = 1.0; // Hourly steps.
     uint64_t charge_calls = 0;
     uint64_t discharge_calls = 0;
@@ -199,16 +210,14 @@ BatchedSimulationEngine::run(SimulationBatch &batch) const
 
             const double inten_h = inten != nullptr ? inten[h] : 0.0;
 
-            // Stage 2: the scheduling/battery step, lane by lane in
-            // the scalar engine's exact operation order (see
-            // SimulationEngine::runImpl, which stays the commented
-            // reference for the heuristic itself).
+            // Stage 2: the scheduling/battery step, lane by lane.
             for (size_t l = 0; l < m; ++l) {
                 SimulationScratch &backlog = backlogs[l];
                 const double cap = capv[l];
                 const double flex = flexv[l];
                 const double lane_ren = ren[l];
 
+                // Deadline-forced backlog must run now.
                 double forced = 0.0;
                 while (!backlog.empty() &&
                        backlog.front().deadline_hour <= h) {
@@ -217,6 +226,11 @@ BatchedSimulationEngine::run(SimulationBatch &batch) const
                     backlog.popFront();
                 }
 
+                // Mandatory work: inflexible load plus deadline-forced
+                // backlog, truncated at the physical capacity cap.
+                // Truncated deadline work is an SLO violation; it
+                // still runs, one cap-sized slice per hour, until
+                // drained.
                 double mandatory = fixedv[l] + forced;
                 if (mandatory > cap) {
                     const double overflow = mandatory - cap;
@@ -231,6 +245,11 @@ BatchedSimulationEngine::run(SimulationBatch &batch) const
                 double battery_in = 0.0;
 
                 if (lane_ren >= served) {
+                    // Surplus relative to mandatory work. Run
+                    // everything available — current flexible work
+                    // first, then backlog — on renewable power within
+                    // the capacity cap, and charge the battery with
+                    // what remains (section 5.2).
                     double surplus = lane_ren - served;
 
                     const double flex_green =
@@ -238,25 +257,32 @@ BatchedSimulationEngine::run(SimulationBatch &batch) const
                     served += flex_green;
                     surplus -= flex_green;
 
+                    // Flexible work that surplus could not cover
+                    // competes for the battery like any other deficit.
                     const double flex_rest = flex - flex_green;
 
-                    while (surplus > 1e-12 && served < cap &&
-                           !backlog.empty()) {
+                    // Drain backlog, oldest first, on leftover surplus.
+                    while (surplus > kNegligibleDispatch &&
+                           served < cap && !backlog.empty()) {
                         auto &entry = backlog.front();
                         const double runnable = std::min(
                             {entry.mwh.value() / dt, surplus,
                              cap - served});
-                        if (runnable <= 1e-12)
+                        if (runnable <= kNegligibleDispatch)
                             break;
                         entry.mwh -= MegaWattHours(runnable * dt);
                         backlog_total[l] -= runnable * dt;
                         served += runnable;
                         surplus -= runnable;
-                        if (entry.mwh.value() <= 1e-12)
+                        if (entry.mwh.value() <= kNegligibleDispatch)
                             backlog.popFront();
                     }
 
                     if (flex_rest > 0.0) {
+                        // No surplus left for this flexible remainder:
+                        // battery first, defer only what storage
+                        // cannot cover. Work that does not fit under
+                        // the capacity cap must defer regardless.
                         const double fits =
                             std::min(flex_rest, cap - served);
                         double deficit = fits;
@@ -276,9 +302,13 @@ BatchedSimulationEngine::run(SimulationBatch &batch) const
                         served += flex_rest - defer;
                     }
 
-                    if (has_b[l] != 0 && surplus > 1e-12)
+                    if (has_b[l] != 0 && surplus > kNegligibleDispatch)
                         battery_in = chargeLane(l, surplus);
                 } else {
+                    // Deficit: renewables cannot even cover mandatory
+                    // work. Battery first, then defer flexible work,
+                    // then the grid. Flexible work beyond the capacity
+                    // cap must defer.
                     const double flex_fits =
                         std::min(flex, cap - served);
                     double deficit = served + flex_fits - lane_ren;
@@ -299,6 +329,10 @@ BatchedSimulationEngine::run(SimulationBatch &batch) const
                     served += flex - defer;
                 }
 
+                // Carbon-arbitrage extension: top the battery up from
+                // the grid whenever the grid is clean enough. This
+                // energy counts as grid draw (it is not carbon-free),
+                // so it trades coverage for lower operational carbon.
                 double grid_charge = 0.0;
                 if (grid_ch[l] != 0 && has_b[l] != 0 &&
                     inten_h <= grid_thr[l]) {
@@ -324,9 +358,34 @@ BatchedSimulationEngine::run(SimulationBatch &batch) const
                     std::max(acc_max_backlog[l], backlog_total[l]);
                 acc_peak[l] = std::max(acc_peak[l], served);
                 // Same expression, same hour order as gridEmissions()
-                // sums the scalar grid series (g/kWh == kg/MWh), so
-                // the lane's operational carbon reconciles exactly.
+                // sums an hourly grid series (g/kWh == kg/MWh), so the
+                // lane's operational carbon reconciles exactly.
                 acc_carbon[l] += grid * inten_h;
+
+                if (recorder != nullptr) {
+                    obs::HourlyRecord row;
+                    row.load_mw = load;
+                    row.served_mw = served;
+                    row.renewable_mw = lane_ren;
+                    row.renewable_used_mw = green_used;
+                    row.grid_mw = grid;
+                    row.battery_charge_mw = battery_in;
+                    row.battery_discharge_mw = battery_out;
+                    row.battery_energy_mwh = b_content[l];
+                    row.curtailed_mw =
+                        std::max(lane_ren - green_used, 0.0);
+                    row.shifted_mwh = acc_deferred[l] - prev_deferred;
+                    row.backlog_mwh = backlog_total[l];
+                    row.slo_violation_mwh =
+                        acc_violation[l] - prev_violation;
+                    row.grid_charge_mwh = grid_charge * dt;
+                    // The lane's own carbon operand, so the recorded
+                    // column reconciles exactly with operational_kg.
+                    row.carbon_kg = grid * inten_h;
+                    recorder->record(h, row);
+                    prev_deferred = acc_deferred[l];
+                    prev_violation = acc_violation[l];
+                }
             }
         }
     }
@@ -350,8 +409,11 @@ BatchedSimulationEngine::run(SimulationBatch &batch) const
                 ? b_discharged[l] / b_usable[l]
                 : 0.0;
             r.grid_charge_mwh = MegaWattHours(acc_grid_charge[l]);
-            // Same clamp as the scalar engine: grid-charging losses
-            // can push grid draw past demand; coverage floors at 0.
+            // Clamped at zero: with grid charging, battery round-trip
+            // losses can push grid draw past demand, and a negative
+            // "renewable coverage" is meaningless. Without grid
+            // charging grid draw never exceeds load and the clamp is
+            // inert.
             r.coverage_pct = acc_load[l] > 0.0
                 ? std::max(0.0,
                            (1.0 - acc_grid[l] / acc_load[l]) * 100.0)

@@ -1,27 +1,36 @@
 /**
  * @file
- * Batched co-simulation: one pass over the hourly trace advances
- * every lane of a SimulationBatch together.
+ * The co-simulation kernel: one pass over the hourly trace advances
+ * every lane of a SimulationBatch together, each lane running the
+ * paper's combined heuristic (section 5.2):
  *
- * The scalar SimulationEngine stays the reference implementation (and
- * the only path with flight recording / hourly output series); this
- * engine is the sweep's hot path. Its hourly loop is two stages:
+ *   "Whenever there is lack of renewable supply, the energy stored in
+ *    the battery is used first and workload shifting happens only if
+ *    the energy stored in the batteries are not sufficient. Whenever
+ *    there is extra renewable supply, all available workloads are
+ *    executed to use the available power first and batteries are
+ *    charged with the remaining supply."
+ *
+ * A lane generalizes all four strategies of the evaluation: renewables
+ * only (no battery, FWR = 0), renewables + battery, renewables + CAS,
+ * and renewables + battery + CAS. Sweeps run full batches; every
+ * single-point path (evaluate, simulate, explain, the sizing
+ * bisections) runs a one-lane batch, so this is the only copy of the
+ * heuristic. The hourly loop is two stages:
  *
  *  1. A branch-free lane loop computing per-lane renewable supply and
  *     the fixed/flexible load split into contiguous staging arrays —
  *     the auto-vectorizable part (each lane is independent, so SIMD
  *     lanes never mix operands across design points and the values
- *     are bit-identical to scalar evaluation order).
- *  2. A per-lane scheduling/battery step that replicates the scalar
- *     engine's arithmetic operation for operation, with ClcBattery's
+ *     are bit-identical to one-lane evaluation order).
+ *  2. A per-lane scheduling/battery step, with ClcBattery's
  *     charge/discharge math inlined on the batch's SoA state.
  *
- * Bit-identity contract: for every lane, all aggregates (and the
- * derived operational carbon) equal what SimulationEngine::run plus
- * OperationalCarbonModel::gridEmissions produce for the equivalent
- * SimulationConfig — see the differential tests in
- * tests/scheduler_batched_engine_test.cc and DESIGN.md for why the
- * layout preserves this exactly.
+ * Lane independence: a lane's aggregates do not depend on the batch
+ * it shares or its position in it, on whether a flight recorder is
+ * attached, or on profiling. tests/scheduler_batched_engine_test.cc
+ * pins this, and pins the aggregates of a randomized lane set against
+ * a table frozen from the scalar engine this kernel replaced.
  */
 
 #ifndef CARBONX_SCHEDULER_BATCHED_ENGINE_H
@@ -32,6 +41,11 @@
 
 namespace carbonx
 {
+
+namespace obs
+{
+class FlightRecorder;
+} // namespace obs
 
 /**
  * Construct once per (load, shapes, intensity) trace set and run many
@@ -62,8 +76,15 @@ class BatchedSimulationEngine
      * batch may be re-run or refilled (clear + addLane) freely; after
      * the first run of a given working set, run() performs no heap
      * allocation.
+     *
+     * @p recorder (optional, one-lane batches only — UserError
+     * otherwise) receives the lane's full hourly state (see
+     * obs/recorder.h); the engine begin()s it, and fills its carbon
+     * column when the engine has an intensity series. Null costs one
+     * pointer check per lane-hour and leaves every output unchanged.
      */
-    void run(SimulationBatch &batch) const;
+    void run(SimulationBatch &batch,
+             obs::FlightRecorder *recorder = nullptr) const;
 
     const TimeSeries &dcPower() const { return dc_power_; }
 

@@ -115,7 +115,7 @@ SimulationBatch::addLane(const BatchLaneConfig &lane)
         // the per-call quantities it recomputes (rate caps, DoD
         // floor, usable capacity, initial content). All are single
         // deterministic products of the same operands, so the kernel
-        // reproduces the scalar battery bit for bit.
+        // reproduces ClcBattery bit for bit.
         const BatteryChemistry &chem = *lane.chemistry;
         if (lane.battery_capacity_mwh.value() < 0.0)
             failLane("battery capacity must be >= 0");

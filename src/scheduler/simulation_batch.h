@@ -9,7 +9,8 @@
  * content, deferred-work backlog), and per-lane result accumulators.
  * BatchedSimulationEngine advances every lane through the hourly
  * trace in one pass, so the trace (and its cache traffic) is paid
- * once per batch instead of once per design point.
+ * once per batch instead of once per design point. A single design
+ * point is simply a one-lane batch.
  *
  * The batch owns no time series: lanes store only the solar/wind
  * nameplate scales, and the engine evaluates per-lane supply inline
@@ -27,21 +28,82 @@
 #ifndef CARBONX_SCHEDULER_SIMULATION_BATCH_H
 #define CARBONX_SCHEDULER_SIMULATION_BATCH_H
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
 #include "battery/chemistry.h"
 #include "common/units.h"
-#include "scheduler/simulation_engine.h"
 
 namespace carbonx
 {
 
 /**
- * Configuration of one batch lane: the per-point subset of
- * SimulationConfig plus the renewable investment and battery
- * parameters that the scalar path carries via the supply series and a
- * ClcBattery instance.
+ * When the battery may charge from the grid rather than only from
+ * surplus renewables (an extension beyond the paper's renewable-only
+ * charging): Never reproduces the paper; BelowIntensityThreshold
+ * charges from the grid whenever its carbon intensity is at or below
+ * a threshold, enabling carbon arbitrage (store clean-ish grid energy,
+ * displace dirty hours).
+ */
+enum class GridChargePolicy
+{
+    Never,
+    BelowIntensityThreshold,
+};
+
+/**
+ * Reusable deferred-work queue of one lane. A plain vector with a head
+ * index stands in for std::deque: popFront is an index bump, pushFront
+ * reuses the popped prefix (growing a fresh gap in one amortized-O(1)
+ * move when none is left), and clear() keeps the capacity, so a batch
+ * does no queue allocation once its queues have warmed up.
+ */
+struct SimulationScratch
+{
+    /** One chunk of deferred work with its completion deadline. */
+    struct Entry
+    {
+        size_t deadline_hour;
+        MegaWattHours mwh;
+    };
+
+    std::vector<Entry> entries;
+    size_t head = 0;
+
+    void clear()
+    {
+        entries.clear();
+        head = 0;
+    }
+    bool empty() const { return head == entries.size(); }
+    Entry &front() { return entries[head]; }
+    const Entry &front() const { return entries[head]; }
+    void popFront()
+    {
+        if (++head == entries.size())
+            clear();
+    }
+    void pushBack(const Entry &e) { entries.push_back(e); }
+    void pushFront(const Entry &e)
+    {
+        if (head == 0) {
+            // Out of front headroom: open a gap proportional to the
+            // queue length in one move, so a worst-case sequence of
+            // front pushes stays amortized O(1) instead of shifting
+            // the whole queue on every push.
+            const size_t grow = std::max<size_t>(entries.size(), 4);
+            entries.insert(entries.begin(), grow, Entry{});
+            head = grow;
+        }
+        entries[--head] = e;
+    }
+};
+
+/**
+ * Configuration of one batch lane: the renewable investment, the
+ * datacenter's capacity cap and scheduling knobs, and the battery
+ * parameters of one design point.
  */
 struct BatchLaneConfig
 {
@@ -63,10 +125,7 @@ struct BatchLaneConfig
     /** Battery nameplate capacity; meaningful only with a chemistry. */
     MegaWattHours battery_capacity_mwh{0.0};
 
-    /**
-     * Battery chemistry; null means "no battery attached", exactly
-     * like SimulationConfig::battery == nullptr. Non-owning.
-     */
+    /** Battery chemistry; null means "no battery attached". Non-owning. */
     const BatteryChemistry *chemistry = nullptr;
 
     /** Initial SoC; negative picks the DoD floor (ClcBattery default). */
@@ -80,11 +139,10 @@ struct BatchLaneConfig
 };
 
 /**
- * Aggregated outcome of one lane: every SimulationResult aggregate
- * (the hourly series are deliberately absent — the sweep never reads
- * them, and materializing four year-long series per lane would erase
- * the batching win) plus the operational carbon the scalar path
- * derives afterwards via OperationalCarbonModel::gridEmissions.
+ * Aggregated outcome of one lane. Hourly detail is deliberately
+ * absent — the sweep never reads it, and materializing year-long
+ * series per lane would erase the batching win; a one-lane run can
+ * stream it into a flight recorder instead.
  */
 struct BatchLaneResult
 {
@@ -105,8 +163,9 @@ struct BatchLaneResult
     /**
      * Operational carbon: sum over hours of grid draw times grid
      * intensity, accumulated in hour order with the exact expression
-     * gridEmissions() uses, so it equals the scalar pipeline bit for
-     * bit. Zero when the engine has no intensity series.
+     * OperationalCarbonModel::gridEmissions() uses, so it equals that
+     * model applied to the lane's hourly grid draw bit for bit. Zero
+     * when the engine has no intensity series.
      */
     KilogramsCo2 operational_kg;
 };
@@ -181,9 +240,8 @@ class SimulationBatch
     std::vector<double> fixed_;
     std::vector<double> flex_;
 
-    // Per-lane accumulators; one slot per lane, added in hour order
-    // so every sum sees the identical sequence of operands as the
-    // scalar engine's per-run accumulators.
+    // Per-lane accumulators; one slot per lane, added in hour order,
+    // so a lane's sums never depend on the batch it shares.
     std::vector<double> acc_load_;
     std::vector<double> acc_served_;
     std::vector<double> acc_grid_;

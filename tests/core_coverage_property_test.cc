@@ -1,7 +1,7 @@
 /**
  * @file
  * Property tests of the coverage metric on randomized shapes:
- * monotonicity, bounds, and consistency with the simulation engine.
+ * monotonicity, bounds, and consistency with the simulation kernel.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 
 #include "common/rng.h"
 #include "core/coverage.h"
-#include "scheduler/simulation_engine.h"
+#include "scheduler/batched_engine.h"
 
 namespace carbonx
 {
@@ -71,8 +71,8 @@ TEST_P(CoverageProperty, BoundsAndMonotonicity)
 
 TEST_P(CoverageProperty, AgreesWithSimulationEngine)
 {
-    // The closed-form coverage and the engine's renewables-only run
-    // must agree exactly for any shapes.
+    // The closed-form coverage and a renewables-only kernel lane (no
+    // battery, no deferral) must agree for any shapes.
     Rng rng(GetParam() + 1000);
     const TimeSeries load = randomLoad(rng);
     const TimeSeries solar = randomShape(rng, true);
@@ -81,10 +81,16 @@ TEST_P(CoverageProperty, AgreesWithSimulationEngine)
 
     const double solar_mw = rng.uniform(0.0, 300.0);
     const double wind_mw = rng.uniform(0.0, 300.0);
-    const TimeSeries supply = cov.supplyFor(MegaWatts(solar_mw), MegaWatts(wind_mw));
-    const SimulationEngine engine(load, supply);
+    const BatchedSimulationEngine engine(load, solar, wind);
+    BatchLaneConfig lane;
+    lane.solar_mw = MegaWatts(solar_mw);
+    lane.wind_mw = MegaWatts(wind_mw);
+    lane.capacity_cap_mw = MegaWatts(load.max());
+    SimulationBatch batch(1);
+    batch.addLane(lane);
+    engine.run(batch);
     EXPECT_NEAR(cov.coverage(MegaWatts(solar_mw), MegaWatts(wind_mw)),
-                engine.renewableOnlyCoverage(), 1e-9);
+                batch.result(0).coverage_pct, 1e-9);
 }
 
 TEST_P(CoverageProperty, SupplySuperposition)

@@ -3,7 +3,7 @@
  * Determinism contract of the parallel design-space sweep: optimize()
  * and optimizeRefined() must produce bit-identical results at any
  * thread count, the allocation-free workspace paths (supplyFor into a
- * buffer, run into a reused result, ClcBattery::setCapacity) must
+ * buffer, a reused one-lane batch, ClcBattery::setCapacity) must
  * match their allocating counterparts exactly, and sweep progress
  * must report monotone throttled milestones ending at the total.
  */
@@ -17,6 +17,7 @@
 #include "common/parallel.h"
 #include "core/explorer.h"
 #include "obs/profiler.h"
+#include "scheduler/batched_engine.h"
 
 namespace carbonx
 {
@@ -179,45 +180,54 @@ TEST(ParallelSweep, SupplyBufferOverloadMatchesAllocating)
 TEST(ParallelSweep, RunIntoReusedResultMatchesAllocating)
 {
     const CarbonExplorer &ex = utahExplorer();
-    const TimeSeries supply = ex.coverageAnalyzer().supplyFor(MegaWatts(80.0), MegaWatts(40.0));
-    const SimulationEngine engine(ex.dcPower(), supply);
+    const CoverageAnalyzer &cov = ex.coverageAnalyzer();
+    const BatchedSimulationEngine engine(ex.dcPower(), cov.solarShape(),
+                                         cov.windShape(),
+                                         &ex.gridIntensity());
 
-    SimulationConfig with_cas;
+    BatchLaneConfig with_cas;
+    with_cas.solar_mw = MegaWatts(80.0);
+    with_cas.wind_mw = MegaWatts(40.0);
     with_cas.capacity_cap_mw = MegaWatts(ex.dcPeakPowerMw() * 1.2);
     with_cas.flexible_ratio = Fraction(0.4);
 
-    ClcBattery battery(MegaWattHours(150.0), BatteryChemistry::lithiumIronPhosphate());
-    SimulationConfig with_batt;
+    const BatteryChemistry lfp = BatteryChemistry::lithiumIronPhosphate();
+    BatchLaneConfig with_batt = with_cas;
     with_batt.capacity_cap_mw = MegaWatts(ex.dcPeakPowerMw());
-    with_batt.battery = &battery;
+    with_batt.flexible_ratio = Fraction(0.0);
+    with_batt.chemistry = &lfp;
+    with_batt.battery_capacity_mwh = MegaWattHours(150.0);
 
-    // One reused result/scratch across two different configs: the
+    // One reused batch and recorder across two different lanes: the
     // second run must be unaffected by the first (reset correctness).
-    SimulationResult reused(ex.dcPower().year());
-    SimulationScratch scratch;
-    for (const SimulationConfig *config : {&with_cas, &with_batt}) {
-        const SimulationResult fresh = engine.run(*config);
-        engine.run(*config, reused, scratch);
-        EXPECT_EQ(fresh.load_energy_mwh.value(), reused.load_energy_mwh.value());
-        EXPECT_EQ(fresh.served_energy_mwh.value(), reused.served_energy_mwh.value());
-        EXPECT_EQ(fresh.grid_energy_mwh.value(), reused.grid_energy_mwh.value());
-        EXPECT_EQ(fresh.renewable_used_mwh.value(), reused.renewable_used_mwh.value());
-        EXPECT_EQ(fresh.renewable_excess_mwh.value(),
-                  reused.renewable_excess_mwh.value());
-        EXPECT_EQ(fresh.deferred_mwh.value(), reused.deferred_mwh.value());
-        EXPECT_EQ(fresh.max_backlog_mwh.value(), reused.max_backlog_mwh.value());
-        EXPECT_EQ(fresh.residual_backlog_mwh.value(),
-                  reused.residual_backlog_mwh.value());
-        EXPECT_EQ(fresh.slo_violation_mwh.value(), reused.slo_violation_mwh.value());
-        EXPECT_EQ(fresh.peak_power_mw.value(), reused.peak_power_mw.value());
-        EXPECT_EQ(fresh.battery_cycles, reused.battery_cycles);
-        EXPECT_EQ(fresh.coverage_pct, reused.coverage_pct);
-        for (size_t h = 0; h < fresh.served_power.size(); ++h) {
-            ASSERT_EQ(fresh.served_power[h], reused.served_power[h]);
-            ASSERT_EQ(fresh.grid_power[h], reused.grid_power[h]);
-            ASSERT_EQ(fresh.battery_soc[h], reused.battery_soc[h]);
-            ASSERT_EQ(fresh.battery_flow[h], reused.battery_flow[h]);
-        }
+    SimulationBatch reused(1);
+    obs::FlightRecorder reused_rec;
+    for (const BatchLaneConfig *lane : {&with_cas, &with_batt}) {
+        SimulationBatch fresh(1);
+        fresh.addLane(*lane);
+        obs::FlightRecorder fresh_rec;
+        engine.run(fresh, &fresh_rec);
+        reused.clear();
+        reused.addLane(*lane);
+        engine.run(reused, &reused_rec);
+        const BatchLaneResult &a = fresh.result(0);
+        const BatchLaneResult &b = reused.result(0);
+        EXPECT_EQ(a.load_energy_mwh.value(), b.load_energy_mwh.value());
+        EXPECT_EQ(a.served_energy_mwh.value(), b.served_energy_mwh.value());
+        EXPECT_EQ(a.grid_energy_mwh.value(), b.grid_energy_mwh.value());
+        EXPECT_EQ(a.renewable_used_mwh.value(), b.renewable_used_mwh.value());
+        EXPECT_EQ(a.renewable_excess_mwh.value(),
+                  b.renewable_excess_mwh.value());
+        EXPECT_EQ(a.deferred_mwh.value(), b.deferred_mwh.value());
+        EXPECT_EQ(a.max_backlog_mwh.value(), b.max_backlog_mwh.value());
+        EXPECT_EQ(a.residual_backlog_mwh.value(),
+                  b.residual_backlog_mwh.value());
+        EXPECT_EQ(a.slo_violation_mwh.value(), b.slo_violation_mwh.value());
+        EXPECT_EQ(a.peak_power_mw.value(), b.peak_power_mw.value());
+        EXPECT_EQ(a.battery_cycles, b.battery_cycles);
+        EXPECT_EQ(a.coverage_pct, b.coverage_pct);
+        EXPECT_EQ(a.operational_kg.value(), b.operational_kg.value());
+        EXPECT_TRUE(obs::bitIdentical(fresh_rec, reused_rec));
     }
 }
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -34,12 +35,30 @@ struct CliRun
     std::string err;
 };
 
+/**
+ * A stderr capture file named after the running test: ctest runs each
+ * test in its own process, possibly in parallel, so a shared name
+ * would let one test read (or delete) another's stderr.
+ */
+std::string
+stderrPath()
+{
+    const testing::TestInfo *test =
+        testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string(test->test_suite_name()) + "_" +
+        test->name();
+    for (char &c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    }
+    return testing::TempDir() + "run_cli_stderr_" + name + ".txt";
+}
+
 CliRun
 runCli(const std::string &args)
 {
     CliRun result;
-    const std::string err_path =
-        testing::TempDir() + "run_cli_stderr.txt";
+    const std::string err_path = stderrPath();
     const std::string command =
         std::string(kCliPath) + " " + args + " 2>" + err_path;
     FILE *pipe = popen(command.c_str(), "r");

@@ -10,6 +10,6 @@
 #define CARBONX_TESTS_LINT_FIXTURES_SRC_OBS_LAYERING_VIOLATIONS_H
 
 #include "common/units.h"                 // OK: obs -> common
-#include "scheduler/simulation_engine.h"  // VIOLATION: obs -> scheduler
+#include "scheduler/batched_engine.h"     // VIOLATION: obs -> scheduler
 
 #endif // CARBONX_TESTS_LINT_FIXTURES_SRC_OBS_LAYERING_VIOLATIONS_H

@@ -190,27 +190,31 @@ TEST(FlightRecorder, RecorderDoesNotPerturbTheSimulation)
          {Strategy::RenewablesOnly, Strategy::RenewableBattery,
           Strategy::RenewableCas, Strategy::RenewableBatteryCas}) {
         SCOPED_TRACE(strategyName(strategy));
-        const SimulationResult plain = ex.simulate(point, strategy);
+        // evaluate() runs the same lane with no recorder attached.
+        const Evaluation plain = ex.evaluate(point, strategy);
         const ExplainResult rec = ex.explain(point, strategy);
+        const SimulationResult sim = ex.simulate(point, strategy);
 
-        EXPECT_EQ(plain.grid_energy_mwh.value(),
-                  rec.simulation.grid_energy_mwh.value());
-        EXPECT_EQ(plain.served_energy_mwh.value(),
-                  rec.simulation.served_energy_mwh.value());
-        EXPECT_EQ(plain.renewable_used_mwh.value(),
-                  rec.simulation.renewable_used_mwh.value());
+        EXPECT_EQ(plain.coverage_pct, rec.simulation.coverage_pct);
+        EXPECT_EQ(plain.operational_kg.value(),
+                  rec.simulation.operational_kg.value());
+        EXPECT_EQ(plain.battery_cycles, rec.simulation.battery_cycles);
         EXPECT_EQ(plain.deferred_mwh.value(),
                   rec.simulation.deferred_mwh.value());
-        EXPECT_EQ(plain.residual_backlog_mwh.value(),
+        EXPECT_EQ(plain.renewable_excess_mwh.value(),
+                  rec.simulation.renewable_excess_mwh.value());
+        EXPECT_EQ(sim.grid_energy_mwh.value(),
+                  rec.simulation.grid_energy_mwh.value());
+        EXPECT_EQ(sim.served_energy_mwh.value(),
+                  rec.simulation.served_energy_mwh.value());
+        EXPECT_EQ(sim.renewable_used_mwh.value(),
+                  rec.simulation.renewable_used_mwh.value());
+        EXPECT_EQ(sim.residual_backlog_mwh.value(),
                   rec.simulation.residual_backlog_mwh.value());
-        EXPECT_EQ(plain.battery_cycles, rec.simulation.battery_cycles);
-        EXPECT_EQ(plain.coverage_pct, rec.simulation.coverage_pct);
-        for (size_t h = 0; h < plain.grid_power.size(); ++h) {
-            ASSERT_EQ(plain.grid_power[h], rec.simulation.grid_power[h])
+        for (size_t h = 0; h < sim.grid_power.size(); ++h) {
+            ASSERT_EQ(sim.grid_power[h], rec.recording.grid_mw[h])
                 << "hour " << h;
-            ASSERT_EQ(plain.grid_power[h], rec.recording.grid_mw[h])
-                << "hour " << h;
-            ASSERT_EQ(plain.served_power[h], rec.recording.served_mw[h])
+            ASSERT_EQ(sim.served_power[h], rec.recording.served_mw[h])
                 << "hour " << h;
         }
     }
@@ -243,7 +247,8 @@ TEST(FlightRecorder, CarbonColumnSumsToReportedOperationalExactly)
                   res.evaluation.operational_kg.value());
         const KilogramsCo2 recomputed =
             OperationalCarbonModel::gridEmissions(
-                res.simulation.grid_power, ex.gridIntensity());
+                ex.simulate(holisticPoint(), strategy).grid_power,
+                ex.gridIntensity());
         EXPECT_EQ(res.recording.totalCarbonKg(), recomputed.value());
     }
 }

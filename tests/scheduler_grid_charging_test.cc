@@ -1,16 +1,14 @@
 /**
  * @file
  * Tests of the grid-charging (carbon arbitrage) extension of the
- * simulation engine.
+ * co-simulation kernel, each run as a one-lane batch.
  */
 
 #include <gtest/gtest.h>
 
-#include "battery/clc_battery.h"
-#include "battery/ideal_battery.h"
-#include "carbon/operational.h"
 #include "common/error.h"
-#include "scheduler/simulation_engine.h"
+#include "obs/recorder.h"
+#include "scheduler/batched_engine.h"
 
 namespace carbonx
 {
@@ -38,31 +36,57 @@ dayNightIntensity()
     return ts;
 }
 
+/** A lane under a 20 MW cap with a battery of @p mwh of @p chem. */
+BatchLaneConfig
+batteryLane(const BatteryChemistry &chem, double mwh)
+{
+    BatchLaneConfig lane;
+    lane.capacity_cap_mw = MegaWatts(20.0);
+    lane.chemistry = &chem;
+    lane.battery_capacity_mwh = MegaWattHours(mwh);
+    return lane;
+}
+
+/** @p lane charging from the grid at or below @p threshold g/kWh. */
+BatchLaneConfig
+arbitrage(BatchLaneConfig lane, double threshold)
+{
+    lane.grid_charge_policy = GridChargePolicy::BelowIntensityThreshold;
+    lane.grid_charge_threshold_gkwh = GramsPerKwh(threshold);
+    return lane;
+}
+
+/**
+ * Run @p lane alone against a flat 10 MW load with no renewables at
+ * all, so only grid charging can move energy through the battery.
+ */
+BatchLaneResult
+runLane(const BatchLaneConfig &lane, const TimeSeries *intensity,
+        obs::FlightRecorder *recording = nullptr)
+{
+    const TimeSeries load = flatLoad();
+    const TimeSeries none(kYear);
+    const BatchedSimulationEngine engine(load, none, none, intensity);
+    SimulationBatch batch(1);
+    batch.addLane(lane);
+    engine.run(batch, recording);
+    return batch.result(0);
+}
+
 TEST(GridCharging, NeverPolicyDrawsNoChargeEnergy)
 {
-    IdealBattery battery(MegaWattHours(100.0));
-    const SimulationEngine engine(flatLoad(), TimeSeries(kYear));
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(20.0);
-    cfg.battery = &battery;
-    const SimulationResult r = engine.run(cfg);
+    const TimeSeries intensity = dayNightIntensity();
+    const BatteryChemistry ideal = BatteryChemistry::ideal();
+    const BatchLaneResult r = runLane(batteryLane(ideal, 100.0), &intensity);
     EXPECT_DOUBLE_EQ(r.grid_charge_mwh.value(), 0.0);
 }
 
 TEST(GridCharging, ThresholdPolicyChargesOnCleanHours)
 {
-    IdealBattery battery(MegaWattHours(50.0));
     const TimeSeries intensity = dayNightIntensity();
-    // No renewables at all: only grid-charging can move energy.
-    const SimulationEngine engine(flatLoad(), TimeSeries(kYear));
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(20.0);
-    cfg.battery = &battery;
-    cfg.grid_charge_policy =
-        GridChargePolicy::BelowIntensityThreshold;
-    cfg.grid_charge_threshold_gkwh = GramsPerKwh(200.0);
-    cfg.grid_intensity = &intensity;
-    const SimulationResult r = engine.run(cfg);
+    const BatteryChemistry ideal = BatteryChemistry::ideal();
+    const BatchLaneResult r =
+        runLane(arbitrage(batteryLane(ideal, 50.0), 200.0), &intensity);
     EXPECT_GT(r.grid_charge_mwh.value(), 0.0);
     EXPECT_GT(r.battery_cycles, 100.0); // Cycles most days.
 }
@@ -73,31 +97,14 @@ TEST(GridCharging, ArbitrageReducesOperationalCarbon)
     // and discharging it at night must cut total emissions despite
     // round-trip losses.
     const TimeSeries intensity = dayNightIntensity();
-    const SimulationEngine engine(flatLoad(), TimeSeries(kYear));
-
-    SimulationConfig plain;
+    BatchLaneConfig plain;
     plain.capacity_cap_mw = MegaWatts(20.0);
-    const SimulationResult base = engine.run(plain);
+    const BatchLaneResult base = runLane(plain, &intensity);
 
-    ClcBattery battery(MegaWattHours(120.0),
-                       BatteryChemistry::lithiumIronPhosphate());
-    SimulationConfig arb = plain;
-    arb.battery = &battery;
-    arb.grid_charge_policy =
-        GridChargePolicy::BelowIntensityThreshold;
-    arb.grid_charge_threshold_gkwh = GramsPerKwh(200.0);
-    arb.grid_intensity = &intensity;
-    const SimulationResult with_arb = engine.run(arb);
-
-    const double base_kg =
-        OperationalCarbonModel::gridEmissions(base.grid_power,
-                                              intensity)
-            .value();
-    const double arb_kg =
-        OperationalCarbonModel::gridEmissions(with_arb.grid_power,
-                                              intensity)
-            .value();
-    EXPECT_LT(arb_kg, base_kg);
+    const BatteryChemistry lfp = BatteryChemistry::lithiumIronPhosphate();
+    const BatchLaneResult with_arb =
+        runLane(arbitrage(batteryLane(lfp, 120.0), 200.0), &intensity);
+    EXPECT_LT(with_arb.operational_kg.value(), base.operational_kg.value());
 
     // But total grid energy goes up (losses + stored energy).
     EXPECT_GT(with_arb.grid_energy_mwh.value(), base.grid_energy_mwh.value());
@@ -105,17 +112,11 @@ TEST(GridCharging, ArbitrageReducesOperationalCarbon)
 
 TEST(GridCharging, ChargeEnergyCountsAsGridDraw)
 {
-    IdealBattery battery(MegaWattHours(50.0));
     const TimeSeries intensity = dayNightIntensity();
-    const SimulationEngine engine(flatLoad(), TimeSeries(kYear));
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(20.0);
-    cfg.battery = &battery;
-    cfg.grid_charge_policy =
-        GridChargePolicy::BelowIntensityThreshold;
-    cfg.grid_charge_threshold_gkwh = GramsPerKwh(200.0);
-    cfg.grid_intensity = &intensity;
-    const SimulationResult r = engine.run(cfg);
+    const BatteryChemistry ideal = BatteryChemistry::ideal();
+    obs::FlightRecorder rec;
+    const BatchLaneResult r = runLane(
+        arbitrage(batteryLane(ideal, 50.0), 200.0), &intensity, &rec);
     // The charge energy is drawn from the grid, and with a lossless
     // battery every stored MWh later displaces a grid MWh, so the
     // total grid energy equals the load exactly — but the draw has
@@ -124,9 +125,9 @@ TEST(GridCharging, ChargeEnergyCountsAsGridDraw)
     EXPECT_NEAR(r.grid_energy_mwh.value(), r.load_energy_mwh.value(), 1e-6);
     // At least the charged energy was billed during clean hours.
     double clean_grid_mwh = 0.0;
-    for (size_t h = 0; h < r.grid_power.size(); ++h) {
+    for (size_t h = 0; h < rec.hours(); ++h) {
         if (intensity[h] <= 200.0)
-            clean_grid_mwh += r.grid_power[h];
+            clean_grid_mwh += rec.grid_mw[h];
     }
     EXPECT_GE(clean_grid_mwh + 1e-6, r.grid_charge_mwh.value());
 }
@@ -134,17 +135,11 @@ TEST(GridCharging, ChargeEnergyCountsAsGridDraw)
 TEST(GridCharging, HighThresholdChargesMoreThanLowThreshold)
 {
     const TimeSeries intensity = dayNightIntensity();
-    const SimulationEngine engine(flatLoad(), TimeSeries(kYear));
+    const BatteryChemistry ideal = BatteryChemistry::ideal();
     auto chargeAt = [&](double threshold) {
-        IdealBattery battery(MegaWattHours(50.0));
-        SimulationConfig cfg;
-        cfg.capacity_cap_mw = MegaWatts(20.0);
-        cfg.battery = &battery;
-        cfg.grid_charge_policy =
-            GridChargePolicy::BelowIntensityThreshold;
-        cfg.grid_charge_threshold_gkwh = GramsPerKwh(threshold);
-        cfg.grid_intensity = &intensity;
-        return engine.run(cfg).grid_charge_mwh.value();
+        return runLane(arbitrage(batteryLane(ideal, 50.0), threshold),
+                       &intensity)
+            .grid_charge_mwh.value();
     };
     EXPECT_DOUBLE_EQ(chargeAt(50.0), 0.0);   // Nothing qualifies.
     EXPECT_GT(chargeAt(800.0), chargeAt(200.0) - 1e-9);
@@ -153,18 +148,12 @@ TEST(GridCharging, HighThresholdChargesMoreThanLowThreshold)
 
 TEST(GridCharging, RequiresIntensitySeries)
 {
-    IdealBattery battery(MegaWattHours(50.0));
-    const SimulationEngine engine(flatLoad(), TimeSeries(kYear));
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(20.0);
-    cfg.battery = &battery;
-    cfg.grid_charge_policy =
-        GridChargePolicy::BelowIntensityThreshold;
-    EXPECT_THROW(engine.run(cfg), UserError);
+    const BatteryChemistry ideal = BatteryChemistry::ideal();
+    const BatchLaneConfig lane = arbitrage(batteryLane(ideal, 50.0), 200.0);
+    EXPECT_THROW(runLane(lane, nullptr), UserError);
 
     const TimeSeries wrong_year(2020, 100.0);
-    cfg.grid_intensity = &wrong_year;
-    EXPECT_THROW(engine.run(cfg), UserError);
+    EXPECT_THROW(runLane(lane, &wrong_year), UserError);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
- * Property-based tests of the co-simulation engine: invariants that
+ * Property-based tests of the co-simulation kernel: invariants that
  * must hold for every region, strategy knob, and random load/supply
- * combination.
+ * combination, each run as a one-lane batch.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +11,9 @@
 #include <numbers>
 #include <tuple>
 
-#include "battery/clc_battery.h"
 #include "common/rng.h"
-#include "scheduler/simulation_engine.h"
+#include "obs/recorder.h"
+#include "scheduler/batched_engine.h"
 
 namespace carbonx
 {
@@ -52,6 +52,43 @@ randomSupply(Rng &rng)
     return ts;
 }
 
+const BatteryChemistry &
+lfp()
+{
+    static const BatteryChemistry chem =
+        BatteryChemistry::lithiumIronPhosphate();
+    return chem;
+}
+
+/** @p lane with a battery of @p mwh (none when @p mwh is 0). */
+BatchLaneConfig
+withBattery(BatchLaneConfig lane, double mwh)
+{
+    if (mwh > 0.0) {
+        lane.chemistry = &lfp();
+        lane.battery_capacity_mwh = MegaWattHours(mwh);
+    }
+    return lane;
+}
+
+/**
+ * Run @p lane alone over @p load. @p supply goes in as the solar shape
+ * at a 1 MW nameplate, which reproduces the series exactly.
+ */
+BatchLaneResult
+runLane(const TimeSeries &load, const TimeSeries &supply,
+        BatchLaneConfig lane, obs::FlightRecorder *recording = nullptr)
+{
+    const TimeSeries no_wind(load.year());
+    const BatchedSimulationEngine engine(load, supply, no_wind);
+    lane.solar_mw = MegaWatts(1.0);
+    lane.wind_mw = MegaWatts(0.0);
+    SimulationBatch batch(1);
+    batch.addLane(lane);
+    engine.run(batch, recording);
+    return batch.result(0);
+}
+
 class EngineProperty
     : public testing::TestWithParam<std::tuple<uint64_t, double, double>>
 {
@@ -63,19 +100,18 @@ TEST_P(EngineProperty, InvariantsHold)
     Rng rng(seed);
     const TimeSeries load = randomLoad(rng);
     const TimeSeries supply = randomSupply(rng);
-    const SimulationEngine engine(load, supply);
 
-    ClcBattery battery(MegaWattHours(battery_hours * load.mean()),
-                       BatteryChemistry::lithiumIronPhosphate());
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(load.max() * 1.4);
-    cfg.flexible_ratio = Fraction(fwr);
-    cfg.battery = battery_hours > 0.0 ? &battery : nullptr;
-    const SimulationResult r = engine.run(cfg);
+    const double capacity = battery_hours * load.mean();
+    BatchLaneConfig lane;
+    lane.capacity_cap_mw = MegaWatts(load.max() * 1.4);
+    lane.flexible_ratio = Fraction(fwr);
+    lane = withBattery(lane, capacity);
+    obs::FlightRecorder rec;
+    const BatchLaneResult r = runLane(load, supply, lane, &rec);
 
     // 1. Capacity cap respected everywhere.
     EXPECT_LE(r.peak_power_mw.value(),
-              cfg.capacity_cap_mw.value() + 1e-9);
+              lane.capacity_cap_mw.value() + 1e-9);
 
     // 2. Work conservation: served + residual backlog = demand.
     EXPECT_NEAR(r.served_energy_mwh.value() + r.residual_backlog_mwh.value(),
@@ -84,14 +120,15 @@ TEST_P(EngineProperty, InvariantsHold)
     // 3. No SLO violations at generous caps.
     EXPECT_DOUBLE_EQ(r.slo_violation_mwh.value(), 0.0);
 
-    // 4. Hourly power balance: grid >= served - supply - discharge,
-    //    and never negative.
-    EXPECT_GE(r.grid_power.min(), -1e-12);
+    // 4. Hourly power balance: grid >= served - supply - net
+    //    discharge, and never negative.
+    for (size_t h = 0; h < load.size(); ++h)
+        ASSERT_GE(rec.grid_mw[h], 0.0) << "hour " << h;
     for (size_t h = 0; h < load.size(); h += 97) {
-        const double discharge =
-            std::max(-r.battery_flow[h], 0.0);
-        EXPECT_GE(r.grid_power[h] + 1e-6,
-                  r.served_power[h] - supply[h] - discharge);
+        const double discharge = std::max(
+            rec.battery_discharge_mw[h] - rec.battery_charge_mw[h], 0.0);
+        EXPECT_GE(rec.grid_mw[h] + 1e-6,
+                  rec.served_mw[h] - supply[h] - discharge);
     }
 
     // 5. Energy conservation overall: renewables used + grid + battery
@@ -105,9 +142,12 @@ TEST_P(EngineProperty, InvariantsHold)
                 (1.0 - r.grid_energy_mwh.value() / r.load_energy_mwh.value()) * 100.0,
                 1e-9);
 
-    // 7. SoC bounded.
-    EXPECT_GE(r.battery_soc.min(), -1e-9);
-    EXPECT_LE(r.battery_soc.max(), 1.0 + 1e-9);
+    // 7. Stored energy bounded by the nameplate.
+    for (size_t h = 0; h < load.size(); ++h) {
+        ASSERT_GE(rec.battery_energy_mwh[h], -1e-9) << "hour " << h;
+        ASSERT_LE(rec.battery_energy_mwh[h], capacity + 1e-9)
+            << "hour " << h;
+    }
 }
 
 TEST_P(EngineProperty, BatteryNeverHurtsCoverage)
@@ -116,18 +156,17 @@ TEST_P(EngineProperty, BatteryNeverHurtsCoverage)
     Rng rng(seed + 99);
     const TimeSeries load = randomLoad(rng);
     const TimeSeries supply = randomSupply(rng);
-    const SimulationEngine engine(load, supply);
 
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(load.max() * 1.4);
-    cfg.flexible_ratio = Fraction(fwr);
-    const double cov_plain = engine.run(cfg).coverage_pct;
+    BatchLaneConfig lane;
+    lane.capacity_cap_mw = MegaWatts(load.max() * 1.4);
+    lane.flexible_ratio = Fraction(fwr);
+    const double cov_plain = runLane(load, supply, lane).coverage_pct;
 
-    ClcBattery battery(
-        MegaWattHours(std::max(battery_hours, 1.0) * load.mean()),
-                       BatteryChemistry::lithiumIronPhosphate());
-    cfg.battery = &battery;
-    const double cov_batt = engine.run(cfg).coverage_pct;
+    const double cov_batt =
+        runLane(load, supply,
+                withBattery(lane, std::max(battery_hours, 1.0) *
+                                      load.mean()))
+            .coverage_pct;
     EXPECT_GE(cov_batt, cov_plain - 1e-6);
 }
 
@@ -142,20 +181,17 @@ TEST(EngineDeterminism, SameInputsSameOutputs)
     Rng rng(7);
     const TimeSeries load = randomLoad(rng);
     const TimeSeries supply = randomSupply(rng);
-    const SimulationEngine engine(load, supply);
-    ClcBattery b1(MegaWattHours(100.0), BatteryChemistry::lithiumIronPhosphate());
-    ClcBattery b2(MegaWattHours(100.0), BatteryChemistry::lithiumIronPhosphate());
-    SimulationConfig cfg;
-    cfg.capacity_cap_mw = MegaWatts(load.max() * 1.5);
-    cfg.flexible_ratio = Fraction(0.4);
-    cfg.battery = &b1;
-    const SimulationResult a = engine.run(cfg);
-    cfg.battery = &b2;
-    const SimulationResult b = engine.run(cfg);
+    BatchLaneConfig lane;
+    lane.capacity_cap_mw = MegaWatts(load.max() * 1.5);
+    lane.flexible_ratio = Fraction(0.4);
+    lane = withBattery(lane, 100.0);
+    obs::FlightRecorder rec_a;
+    obs::FlightRecorder rec_b;
+    const BatchLaneResult a = runLane(load, supply, lane, &rec_a);
+    const BatchLaneResult b = runLane(load, supply, lane, &rec_b);
     EXPECT_DOUBLE_EQ(a.grid_energy_mwh.value(), b.grid_energy_mwh.value());
     EXPECT_DOUBLE_EQ(a.coverage_pct, b.coverage_pct);
-    for (size_t h = 0; h < load.size(); h += 301)
-        EXPECT_DOUBLE_EQ(a.served_power[h], b.served_power[h]);
+    EXPECT_TRUE(obs::bitIdentical(rec_a, rec_b));
 }
 
 } // namespace

@@ -253,7 +253,7 @@ TEST(ConcurrencyTest, UniqueLockRelockIsNotNaked)
 TEST(LayeringTest, FlagsEdgeNotInDag)
 {
     const std::string src =
-        "#include \"scheduler/simulation_engine.h\"\n";
+        "#include \"scheduler/batched_engine.h\"\n";
     const auto diags = lintAs("src/obs/bad_include.cc", src);
     ASSERT_EQ(countRule(diags, carbonx::lint::kRuleLayering), 1u);
     // The message names the offending edge.
@@ -283,7 +283,7 @@ TEST(LayeringTest, CoreMayIncludeEverything)
 TEST(LayeringTest, NonLayerFilesAreExempt)
 {
     const std::string src =
-        "#include \"scheduler/simulation_engine.h\"\n";
+        "#include \"scheduler/batched_engine.h\"\n";
     const auto diags = lintAs("tools/carbonx_cli.cc", src);
     EXPECT_EQ(countRule(diags, carbonx::lint::kRuleLayering), 0u);
 }

@@ -199,7 +199,7 @@ TEST(LintSuppression, AllowCoversLineAndNextLine)
 
 TEST(LintClassify, RecorderWritersAreSchedulerAndObs)
 {
-    EXPECT_TRUE(classify("src/scheduler/simulation_engine.cc")
+    EXPECT_TRUE(classify("src/scheduler/batched_engine.cc")
                     .recorder_writer);
     EXPECT_TRUE(classify("src/obs/recorder.cc").recorder_writer);
     EXPECT_TRUE(classify("src/obs/audit.cc").recorder_writer);

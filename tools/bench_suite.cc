@@ -196,7 +196,7 @@ makeScenarios()
             for (int i = 0; i < 20; ++i) {
                 const ExplainResult ex =
                     explorer->explain(point, strategy);
-                out.work_points += ex.simulation.served_power.size();
+                out.work_points += ex.recording.hours();
                 out.best_total_kg = ex.evaluation.totalKg().value();
                 out.has_best = true;
             }

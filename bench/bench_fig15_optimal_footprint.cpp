@@ -64,7 +64,7 @@ main()
 
         std::map<Strategy, Evaluation> best;
         for (Strategy s : strategies)
-            best.emplace(s, explorer.optimizeRefined(space, s).best);
+            best.emplace(s, explorer.optimize(space, s, 2).best);
 
         auto cellFor = [&](Strategy s) {
             const Evaluation &e = best.at(s);

@@ -30,8 +30,7 @@ main()
     const DesignSpace space =
         DesignSpace::forDatacenter(19.0, 10.0, 6, 6, 3);
     const Evaluation best =
-        explorer.optimizeRefined(space, Strategy::RenewableBatteryCas)
-            .best;
+        explorer.optimize(space, Strategy::RenewableBatteryCas, 2).best;
     const SimulationResult sim =
         explorer.simulate(best.point, Strategy::RenewableBatteryCas);
 

@@ -19,7 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "core/adaptive_sweep.h"
-#include "core/coordinate_descent.h"
 #include "core/explorer.h"
 #include "grid/balancing_authority.h"
 #include "grid/grid_synthesizer.h"
@@ -420,23 +419,6 @@ BM_AdaptiveSweepWarmCache(benchmark::State &state)
 BENCHMARK(BM_AdaptiveSweepWarmCache)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-void
-BM_CoordinateDescentCombined(benchmark::State &state)
-{
-    const CarbonExplorer &ex = sharedExplorer();
-    const DesignSpace space =
-        DesignSpace::forDatacenter(19.0, 8.0, 15, 15, 9);
-    CoordinateDescentConfig cfg;
-    cfg.restarts = 1;
-    const CoordinateDescentOptimizer cd(ex, cfg);
-    for (auto _ : state) {
-        CoordinateDescentResult r =
-            cd.optimize(space, Strategy::RenewableBatteryCas);
-        benchmark::DoNotOptimize(r.best.totalKg());
-    }
-}
-BENCHMARK(BM_CoordinateDescentCombined);
 
 void
 BM_BatteryYearOfHourlySteps(benchmark::State &state)

@@ -31,8 +31,7 @@ main()
     const DesignSpace space =
         DesignSpace::forDatacenter(19.0, 10.0, 6, 6, 3);
     const Evaluation best =
-        explorer.optimizeRefined(space, Strategy::RenewableBatteryCas)
-            .best;
+        explorer.optimize(space, Strategy::RenewableBatteryCas, 2).best;
     std::cout << "Design under test (optimal for seed 2020): "
               << best.point.describe() << ", planned coverage "
               << formatFixed(best.coverage_pct, 2) << "%\n\n";

@@ -3,8 +3,8 @@
  * Full design study: the complete workflow a datacenter operator
  * would run for a prospective site —
  *   1. characterize the region's grid,
- *   2. search the design space (fast coordinate descent, verified by
- *      the exhaustive grid around the optimum),
+ *   2. search the design space (adaptive sweep plus two rounds of
+ *      zoom refinement, bit-identical to the exhaustive grid's best),
  *   3. stress the chosen design across weather years,
  *   4. check sensitivity to the published carbon parameters,
  *   5. lay out the 15-year facility carbon plan.
@@ -17,7 +17,7 @@
 
 #include "carbon/horizon.h"
 #include "common/table.h"
-#include "core/coordinate_descent.h"
+#include "core/adaptive_sweep.h"
 #include "core/report.h"
 #include "core/robustness.h"
 #include "core/sensitivity.h"
@@ -47,20 +47,13 @@ main(int argc, char **argv)
     // 2. Design-space search.
     const DesignSpace space =
         DesignSpace::forDatacenter(dc, 10.0, 7, 7, 5);
-    const CoordinateDescentOptimizer cd(explorer);
-    const CoordinateDescentResult fast =
-        cd.optimize(space, Strategy::RenewableBatteryCas);
-    const Evaluation grid_best =
-        explorer.optimizeRefined(space, Strategy::RenewableBatteryCas)
-            .best;
-    const Evaluation &best = fast.best.totalKg() < grid_best.totalKg()
-        ? fast.best
-        : grid_best;
+    const AdaptiveSweepResult search = AdaptiveSweeper(explorer).sweep(
+        space, Strategy::RenewableBatteryCas, 2);
+    const Evaluation &best = search.result.best;
     std::cout << "[2] Optimum: " << summarizeEvaluation(best) << '\n'
-              << "    coordinate descent used " << fast.evaluations
-              << " evaluations vs "
-              << space.sizeFor(Strategy::RenewableBatteryCas)
-              << " for one exhaustive pass\n\n";
+              << "    adaptive sweep simulated "
+              << search.stats.simulated_points << " of "
+              << search.stats.lattice_points << " lattice points\n\n";
 
     // 3. Weather robustness.
     const RobustnessAnalysis robustness(

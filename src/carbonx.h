@@ -68,7 +68,6 @@
 #include "fleet/fleet.h"
 
 // Design-space exploration.
-#include "core/coordinate_descent.h"
 #include "core/coverage.h"
 #include "core/design_point.h"
 #include "core/design_space.h"

@@ -8,7 +8,6 @@
 #include "common/error.h"
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "common/table.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -86,6 +85,34 @@ SweepResultCache::flush()
 namespace
 {
 
+/**
+ * Coarse sub-lattice stride: every stride-th index of each axis (plus
+ * the last) is evaluated up front. 2 keeps the corner interpolation
+ * tight, which empirically skips the most points overall.
+ */
+constexpr size_t kCoarseStride = 2;
+
+/**
+ * Safety margin subtracted from a point's interpolated estimate, as a
+ * multiple of the owning cell's corner spread. Larger values evaluate
+ * more points; the audit doubles the effective margins whenever a
+ * simulated point proves them optimistic.
+ */
+constexpr double kMarginScale = 0.1;
+
+/**
+ * Margin floor as a fraction of the global coarse-pass spread, so
+ * cells whose corners happen to agree still keep a safety band.
+ */
+constexpr double kMarginFloorRel = 0.01;
+
+/**
+ * Cells refined per wave. Fixed (never derived from the thread count)
+ * so the refinement trajectory — and with it the set of evaluated
+ * points — is bit-identical at any thread count.
+ */
+constexpr size_t kCellsPerWave = 8;
+
 /** Axis indices of one lattice point. */
 using LatticeIdx = std::array<size_t, 4>;
 
@@ -128,59 +155,27 @@ struct Cell
 
 } // namespace
 
-AdaptiveSweeper::AdaptiveSweeper(const CarbonExplorer &explorer,
-                                 AdaptiveSweepOptions options)
-    : explorer_(explorer), options_(options)
-{
-    require(options_.coarse_stride >= 1,
-            "adaptive sweep coarse stride must be >= 1");
-    require(options_.cells_per_wave >= 1,
-            "adaptive sweep cells per wave must be >= 1");
-    require(options_.margin_scale >= 0.0 &&
-                options_.margin_floor_rel >= 0.0,
-            "adaptive sweep margins must be >= 0");
-}
-
 AdaptiveSweepResult
-AdaptiveSweeper::sweep(const DesignSpace &space, Strategy strategy) const
+AdaptiveSweeper::sweep(const DesignSpace &space, Strategy strategy,
+                       int refine_rounds) const
 {
-    return sweepPass(space, strategy, 0);
-}
-
-AdaptiveSweepResult
-AdaptiveSweeper::sweepRefined(const DesignSpace &space,
-                              Strategy strategy, int rounds) const
-{
-    require(rounds >= 0, "refinement rounds must be >= 0");
-    CARBONX_SPAN("explorer/adaptive_sweep_refined");
-    AdaptiveSweepResult result = sweepPass(space, strategy, 0);
-
-    DesignSpace current = space;
-    for (int round = 0; round < rounds; ++round) {
-        current = CarbonExplorer::zoomedSpace(space, current,
-                                              result.result.best.point);
-        AdaptiveSweepResult pass =
-            sweepPass(current, strategy, round + 1);
-        obs::counter("explorer.refine_rounds").increment();
-        if (pass.result.best.totalKg() < result.result.best.totalKg()) {
-            inform("refinement round " + std::to_string(round + 1) +
-                   " improved best total carbon to " +
-                   formatFixed(pass.result.best.totalKg().value(), 0) +
-                   " kg");
-            result.result.best = pass.result.best;
-        }
-        for (auto &e : pass.result.evaluated)
-            result.result.evaluated.push_back(std::move(e));
-        result.stats.lattice_points += pass.stats.lattice_points;
-        result.stats.simulated_points += pass.stats.simulated_points;
-        result.stats.cache_hits += pass.stats.cache_hits;
-        result.stats.points_skipped += pass.stats.points_skipped;
-        result.stats.cells_total += pass.stats.cells_total;
-        result.stats.cells_refined += pass.stats.cells_refined;
-        result.stats.cells_excluded += pass.stats.cells_excluded;
-        result.stats.margin_inflations += pass.stats.margin_inflations;
-    }
-    return result;
+    AdaptiveSweepResult out;
+    AdaptiveSweepStats &sum = out.stats;
+    out.result = zoomRefine(
+        space, refine_rounds,
+        [&](const DesignSpace &pass_space, int pass) {
+            AdaptiveSweepResult r = sweepPass(pass_space, strategy, pass);
+            sum.lattice_points += r.stats.lattice_points;
+            sum.simulated_points += r.stats.simulated_points;
+            sum.cache_hits += r.stats.cache_hits;
+            sum.points_skipped += r.stats.points_skipped;
+            sum.cells_total += r.stats.cells_total;
+            sum.cells_refined += r.stats.cells_refined;
+            sum.cells_excluded += r.stats.cells_excluded;
+            sum.margin_inflations += r.stats.margin_inflations;
+            return std::move(r.result);
+        });
+    return out;
 }
 
 AdaptiveSweepResult
@@ -243,7 +238,7 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
     // Coarse sub-lattice.
     std::array<std::vector<size_t>, 4> coarse;
     for (size_t a = 0; a < 4; ++a)
-        coarse[a] = coarseIndices(dims[a], options_.coarse_stride);
+        coarse[a] = coarseIndices(dims[a], kCoarseStride);
     std::vector<size_t> coarse_points;
     coarse_points.reserve(coarse[0].size() * coarse[1].size() *
                           coarse[2].size() * coarse[3].size());
@@ -415,12 +410,15 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
     // cell's corner evaluations, with margins from the cell's corner
     // spread plus the global floor. A point is skipped only when its
     // margin-padded estimate is strictly worse than the best so far
-    // AND (when the frontier is preserved) some evaluated point
-    // strictly dominates its margin-padded (embodied, operational)
-    // estimate. The audit below checks every evaluated interior point
-    // against its own prediction, so optimistic margins are caught on
-    // the points we do simulate and cured by doubling `inflation`,
-    // which re-tests every skipped point.
+    // AND some evaluated point strictly dominates its margin-padded
+    // (embodied, operational) estimate. The second test guarantees
+    // that the frontier over the evaluated subset equals the frontier
+    // over the full lattice; surfaces where the whole lattice is
+    // Pareto-optimal (e.g. a pure solar trade-off) therefore evaluate
+    // every point. The audit below checks every evaluated interior
+    // point against its own prediction, so optimistic margins are
+    // caught on the points we do simulate and cured by doubling
+    // `inflation`, which re-tests every skipped point.
     struct PointPrediction
     {
         double e_hat = 0.0; ///< Interpolated embodied estimate.
@@ -476,8 +474,6 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
         const double t_hat = p.e_hat + p.o_hat;
         if (!(t_hat - inflation * p.m_t > best_total))
             return false;
-        if (!options_.preserve_pareto_front)
-            return true;
         return strictlyDominated(p.e_hat - inflation * p.m_e,
                                  p.o_hat - inflation * p.m_o);
     };
@@ -539,12 +535,12 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
         const CellBounds &b = cell.bounds;
         p->e_hat = e_hat;
         p->o_hat = o_hat;
-        p->m_t = options_.margin_scale * b.spread_total +
-            options_.margin_floor_rel * global_spread_total;
-        p->m_e = options_.margin_scale * b.spread_embodied +
-            options_.margin_floor_rel * global_spread_embodied;
-        p->m_o = options_.margin_scale * b.spread_operational +
-            options_.margin_floor_rel * global_spread_operational;
+        p->m_t = kMarginScale * b.spread_total +
+            kMarginFloorRel * global_spread_total;
+        p->m_e = kMarginScale * b.spread_embodied +
+            kMarginFloorRel * global_spread_embodied;
+        p->m_o = kMarginScale * b.spread_operational +
+            kMarginFloorRel * global_spread_operational;
     };
 
     AdaptiveSweepStats stats;
@@ -553,8 +549,8 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
     const auto cellLowerBound = [&](const Cell &cell) {
         return cell.bounds.min_total -
             inflation *
-                (options_.margin_scale * cell.bounds.spread_total +
-                 options_.margin_floor_rel * global_spread_total);
+                (kMarginScale * cell.bounds.spread_total +
+                 kMarginFloorRel * global_spread_total);
     };
     while (!pending.empty()) {
         // Most promising cells first: lowest margin-padded corner
@@ -569,8 +565,7 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
                           return lba < lbb;
                       return a.order_key < b.order_key;
                   });
-        const size_t take =
-            std::min(options_.cells_per_wave, pending.size());
+        const size_t take = std::min(kCellsPerWave, pending.size());
         std::vector<Cell> wave(pending.begin(),
                                pending.begin() +
                                    static_cast<ptrdiff_t>(take));

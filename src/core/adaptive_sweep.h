@@ -13,7 +13,7 @@
  * each lattice point gets a multilinear interpolation of the corner
  * evaluations; points whose margin-padded estimates are provably
  * irrelevant (strictly worse than the best so far, and strictly
- * dominated when the frontier is preserved) are skipped, the rest
+ * dominated on the Pareto frontier) are skipped, the rest
  * are simulated. A bound audit checks every simulated point against
  * its own prediction and inflates the safety margins (re-testing
  * every previously skipped point) whenever they prove optimistic —
@@ -98,52 +98,7 @@ class SweepResultCache
     ResultCache cache_;
 };
 
-/** Tuning knobs of the adaptive driver. Defaults favor safety. */
-struct AdaptiveSweepOptions
-{
-    /**
-     * Coarse sub-lattice stride: every stride-th index of each axis
-     * (plus the last) is evaluated up front. 1 degenerates to the
-     * exhaustive sweep. 2 keeps the corner interpolation tight, which
-     * empirically skips the most points overall.
-     */
-    size_t coarse_stride = 2;
-
-    /**
-     * Safety margin subtracted from a point's interpolated estimate,
-     * as a multiple of the owning cell's corner spread. Larger values
-     * evaluate more points; the audit doubles the effective margins
-     * whenever a simulated point proves them optimistic.
-     */
-    double margin_scale = 0.1;
-
-    /**
-     * Margin floor as a fraction of the global coarse-pass spread, so
-     * cells whose corners happen to agree still keep a safety band.
-     */
-    double margin_floor_rel = 0.01;
-
-    /**
-     * Also protect the (embodied, operational) Pareto frontier: a
-     * point is only skipped when some evaluated point strictly
-     * dominates its margin-padded (embodied, operational) estimate,
-     * guaranteeing the frontier over the evaluated subset equals the
-     * frontier over the full lattice. Disabling skips more points but
-     * only the best point is then guaranteed. Note surfaces where the
-     * whole lattice is Pareto-optimal (e.g. a pure solar trade-off)
-     * legitimately evaluate every point in this mode.
-     */
-    bool preserve_pareto_front = true;
-
-    /**
-     * Cells refined per wave. Fixed (never derived from the thread
-     * count) so the refinement trajectory — and with it the set of
-     * evaluated points — is bit-identical at any thread count.
-     */
-    size_t cells_per_wave = 8;
-};
-
-/** Work accounting of one adaptive sweep. */
+/** Work accounting of one adaptive sweep (summed over its passes). */
 struct AdaptiveSweepStats
 {
     size_t lattice_points = 0;   ///< Full-resolution lattice size.
@@ -171,9 +126,8 @@ struct AdaptiveSweepResult
     /**
      * best is bit-identical to the exhaustive optimize() best;
      * evaluated holds only the points actually evaluated, in the same
-     * lattice order the exhaustive sweep would list them, so
-     * paretoSet() equals the exhaustive frontier when
-     * preserve_pareto_front is on.
+     * order the exhaustive sweep would list them, so paretoSet()
+     * equals the exhaustive frontier.
      */
     OptimizationResult result;
     AdaptiveSweepStats stats;
@@ -182,6 +136,9 @@ struct AdaptiveSweepResult
 /**
  * The coarse-to-fine driver. Borrow an explorer (whose sweep cache
  * and progress callback are honored) and call sweep() per strategy.
+ * Its tuning is fixed (coarse stride 2, margins of 0.1 of a cell's
+ * corner spread plus 0.01 of the coarse pass's spread, 8 cells per
+ * wave, Pareto frontier always preserved; see adaptive_sweep.cc).
  *
  * Algorithm: evaluate the coarse sub-lattice; partition the space
  * into cells (hyper-rectangles between adjacent coarse indices);
@@ -197,6 +154,11 @@ struct AdaptiveSweepResult
  * inflated past the global spread nothing can be skipped, so the
  * worst case degrades gracefully to the exhaustive sweep.
  *
+ * Refinement rounds run through the same zoomRefine loop as
+ * CarbonExplorer::optimize, each zoomed pass swept adaptively. Every
+ * pass's best is bit-identical to its exhaustive twin, so the zoom
+ * trajectory — and the final best — matches the exhaustive driver's.
+ *
  * Determinism: every decision (ordering, exclusion, wave membership)
  * happens on the coordinating thread from deterministic inputs;
  * parallelism only accelerates the point evaluations, which are
@@ -206,35 +168,26 @@ struct AdaptiveSweepResult
 class AdaptiveSweeper
 {
   public:
-    explicit AdaptiveSweeper(const CarbonExplorer &explorer,
-                             AdaptiveSweepOptions options = {});
+    explicit AdaptiveSweeper(const CarbonExplorer &explorer)
+        : explorer_(explorer)
+    {
+    }
 
     /**
-     * Run the adaptive search over @p space. Throws SweepAborted when
-     * the explorer's abort hook fires (progress is checkpointed to
-     * the attached cache first).
+     * Run the adaptive search over @p space, followed by
+     * @p refine_rounds zoom-refinement passes (see zoomRefine). Throws
+     * SweepAborted when the explorer's abort hook fires (progress is
+     * checkpointed to the attached cache first).
      */
     AdaptiveSweepResult sweep(const DesignSpace &space,
-                              Strategy strategy) const;
-
-    /**
-     * Adaptive counterpart of CarbonExplorer::optimizeRefined: the
-     * adaptive sweep above followed by @p rounds of zoom refinement
-     * (CarbonExplorer::zoomedSpace) with each zoomed pass swept
-     * adaptively too. Every pass's best is bit-identical to its
-     * exhaustive twin, so the zoom trajectory — and the final best —
-     * matches optimizeRefined exactly. Stats are summed over passes.
-     */
-    AdaptiveSweepResult sweepRefined(const DesignSpace &space,
-                                     Strategy strategy,
-                                     int rounds = 2) const;
+                              Strategy strategy,
+                              int refine_rounds = 0) const;
 
   private:
     AdaptiveSweepResult sweepPass(const DesignSpace &space,
                                   Strategy strategy, int pass) const;
 
     const CarbonExplorer &explorer_;
-    AdaptiveSweepOptions options_;
 };
 
 } // namespace carbonx

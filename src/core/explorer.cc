@@ -372,9 +372,13 @@ CarbonExplorer::explain(const DesignPoint &point, Strategy strategy) const
 }
 
 OptimizationResult
-CarbonExplorer::optimize(const DesignSpace &space, Strategy strategy) const
+CarbonExplorer::optimize(const DesignSpace &space, Strategy strategy,
+                         int refine_rounds) const
 {
-    return optimizePass(space, strategy, 0);
+    return zoomRefine(space, refine_rounds,
+                      [&](const DesignSpace &pass_space, int pass) {
+                          return optimizePass(pass_space, strategy, pass);
+                      });
 }
 
 namespace
@@ -733,13 +737,18 @@ OptimizationResult::paretoSet() const
     return out;
 }
 
-DesignSpace
-CarbonExplorer::zoomedSpace(const DesignSpace &orig,
-                            const DesignSpace &cur,
-                            const DesignPoint &best)
+namespace
 {
-    // Zoom each axis onto [best - step, best + step], clamped to
-    // the original bounds; keep the sample counts.
+
+/**
+ * Zoom each axis of @p cur onto [best - step, best + step] (one
+ * current step in every direction), clamped to @p orig's bounds,
+ * keeping the sample counts.
+ */
+DesignSpace
+zoomedSpace(const DesignSpace &orig, const DesignSpace &cur,
+            const DesignPoint &best)
+{
     auto zoom = [](const AxisSpec &o, const AxisSpec &c, double b) {
         AxisSpec next = c;
         const double step = c.steps > 1
@@ -762,29 +771,28 @@ CarbonExplorer::zoomedSpace(const DesignSpace &orig,
     return out;
 }
 
+} // namespace
+
 OptimizationResult
-CarbonExplorer::optimizeRefined(const DesignSpace &space,
-                                Strategy strategy, int rounds) const
+zoomRefine(const DesignSpace &space, int rounds, const SweepPass &pass)
 {
     require(rounds >= 0, "refinement rounds must be >= 0");
-    CARBONX_SPAN("explorer/optimize_refined");
-    OptimizationResult result = optimizePass(space, strategy, 0);
+    OptimizationResult result = pass(space, 0);
 
     DesignSpace current = space;
     for (int round = 0; round < rounds; ++round) {
         current = zoomedSpace(space, current, result.best.point);
 
-        OptimizationResult pass =
-            optimizePass(current, strategy, round + 1);
+        OptimizationResult zoomed = pass(current, round + 1);
         obs::counter("explorer.refine_rounds").increment();
-        if (pass.best.totalKg() < result.best.totalKg()) {
+        if (zoomed.best.totalKg() < result.best.totalKg()) {
             inform("refinement round " + std::to_string(round + 1) +
                    " improved best total carbon to " +
-                   formatFixed(pass.best.totalKg().value(), 0) +
+                   formatFixed(zoomed.best.totalKg().value(), 0) +
                    " kg");
-            result.best = pass.best;
+            result.best = zoomed.best;
         }
-        for (auto &e : pass.evaluated)
+        for (auto &e : zoomed.evaluated)
             result.evaluated.push_back(std::move(e));
     }
     return result;

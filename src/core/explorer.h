@@ -16,6 +16,7 @@
 #define CARBONX_CORE_EXPLORER_H
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -183,6 +184,26 @@ struct OptimizationResult
 };
 
 /**
+ * One sweep pass over a design space; the int is the pass number
+ * (0 for the first) that tags its progress reports.
+ */
+using SweepPass =
+    std::function<OptimizationResult(const DesignSpace &, int)>;
+
+/**
+ * The zoom refinement of both sweep drivers (CarbonExplorer::optimize
+ * and AdaptiveSweeper::sweep): run @p pass over @p space, then for
+ * each of @p rounds narrow every axis to one current step either side
+ * of the best point so far (clamped to @p space's bounds, sample
+ * counts kept) and run @p pass over the zoomed space. Returns the
+ * best over all passes (the earliest wins ties) and the union of
+ * their evaluations in pass order. Throws UserError on negative
+ * @p rounds.
+ */
+OptimizationResult zoomRefine(const DesignSpace &space, int rounds,
+                              const SweepPass &pass);
+
+/**
  * One simulated year in full: the lane aggregates plus four hourly
  * series copied from the run's flight recording.
  */
@@ -305,31 +326,14 @@ class CarbonExplorer
      * (solar, wind) grid is sharded across the process thread pool
      * (see common/parallel.h); results are deterministic — `best` and
      * the order of `evaluated` are bit-identical at any thread count.
+     * @p refine_rounds exhaustive passes follow over the space zoomed
+     * onto the best point so far (see zoomRefine), converging on the
+     * carbon optimum far faster than a uniformly fine grid; the
+     * returned evaluated set is then the union of all passes.
      */
     OptimizationResult optimize(const DesignSpace &space,
-                                Strategy strategy) const;
-
-    /**
-     * Exhaustive search followed by @p rounds of local refinement:
-     * after each pass the space is zoomed onto the best point (one
-     * coarse step in every direction) and re-sampled, converging on
-     * the carbon optimum far faster than a uniformly fine grid.
-     * The returned evaluated set is the union of all passes.
-     */
-    OptimizationResult optimizeRefined(const DesignSpace &space,
-                                       Strategy strategy,
-                                       int rounds = 2) const;
-
-    /**
-     * The zoom step optimizeRefined applies between passes: each axis
-     * of @p cur is narrowed to [best - step, best + step] (one current
-     * step in every direction), clamped to @p orig's bounds, keeping
-     * the sample counts. Shared with AdaptiveSweeper::sweepRefined so
-     * both drivers walk the identical refinement trajectory.
-     */
-    static DesignSpace zoomedSpace(const DesignSpace &orig,
-                                   const DesignSpace &cur,
-                                   const DesignPoint &best);
+                                Strategy strategy,
+                                int refine_rounds = 0) const;
 
     /**
      * Smallest battery that reaches @p target_pct coverage for the
@@ -355,12 +359,12 @@ class CarbonExplorer
 
     /**
      * Observe sweep progress: @p callback fires on throttled
-     * milestones of each optimize()/optimizeRefined() pass — at most
-     * @p max_updates_per_pass times plus the final point. Pass an
-     * empty function to detach. The sweep runs on a thread pool, so
-     * the callback may fire from any worker thread; invocations are
-     * serialized and points_done is monotone across them. The
-     * callback must not throw.
+     * milestones of each sweep pass (every refinement round is its
+     * own pass) — at most @p max_updates_per_pass times plus the
+     * final point. Pass an empty function to detach. The sweep runs
+     * on a thread pool, so the callback may fire from any worker
+     * thread; invocations are serialized and points_done is monotone
+     * across them. The callback must not throw.
      */
     void setProgressCallback(obs::ProgressCallback callback,
                              size_t max_updates_per_pass = 100)
@@ -391,8 +395,8 @@ class CarbonExplorer
 
     /**
      * Attach a persistent result cache (borrowed; may be null to
-     * detach). Every sweep — optimize(), optimizeRefined(), and the
-     * adaptive driver — consults it before simulating a point and
+     * detach). Every sweep — optimize() and the adaptive driver, with
+     * or without refinement — consults it before simulating a point and
      * checkpoints fresh evaluations into it between parallel batches,
      * so interrupted sweeps resume and identical re-runs are pure
      * cache replays. The cache must have been created with

@@ -74,22 +74,13 @@ runScenario(const Scenario &s, const ScenarioRunOptions &opts)
 
     if (mode == SweepMode::Exhaustive) {
         out.result =
-            s.refine_rounds > 0
-                ? explorer->optimizeRefined(space, s.strategy,
-                                            s.refine_rounds)
-                : explorer->optimize(space, s.strategy);
+            explorer->optimize(space, s.strategy, s.refine_rounds);
         out.stats.lattice_points = out.lattice_points;
-        out.stats.simulated_points = out.result.evaluated.size();
     } else {
-        const AdaptiveSweeper sweeper(*explorer);
-        AdaptiveSweepResult adaptive =
-            s.refine_rounds > 0
-                ? sweeper.sweepRefined(space, s.strategy,
-                                       s.refine_rounds)
-                : sweeper.sweep(space, s.strategy);
+        AdaptiveSweepResult adaptive = AdaptiveSweeper(*explorer).sweep(
+            space, s.strategy, s.refine_rounds);
         out.result = std::move(adaptive.result);
         out.stats = adaptive.stats;
-        out.cache_hits = adaptive.stats.cache_hits;
     }
     if (journal != nullptr) {
         journal->flush();

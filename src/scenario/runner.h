@@ -63,7 +63,6 @@ struct ScenarioRunResult
     uint64_t scenario_digest = 0;
     uint64_t config_digest = 0;
     size_t lattice_points = 0;
-    size_t cache_hits = 0;
 };
 
 /**

@@ -3,12 +3,12 @@
  * Differential harness for the adaptive multi-resolution sweep: over
  * twenty seeded synthetic regions spanning every balancing authority
  * and strategy, AdaptiveSweeper must reproduce the exhaustive
- * optimize() bit-for-bit — best point, best total carbon, and Pareto
- * frontier — at 1, 2, and automatic thread counts, while the
- * designated budget regions prove it simulates at most half of the
- * lattice. A warm result cache must serve a repeat sweep entirely
- * from disk, and sweepRefined must land exactly where
- * optimizeRefined does.
+ * optimize() bit-for-bit — best point, best total carbon, Pareto
+ * frontier, and every evaluation it makes, in exhaustive order — at
+ * 1, 2, and automatic thread counts, while the designated budget
+ * regions prove it simulates at most half of the lattice. A warm
+ * result cache must serve a repeat sweep entirely from disk, and
+ * zoom refinement must walk the same trajectory under both drivers.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/parallel.h"
 #include "core/adaptive_sweep.h"
 #include "core/explorer.h"
@@ -128,6 +129,33 @@ expectEvalIdentical(const Evaluation &a, const Evaluation &b,
 }
 
 /**
+ * @p subset must be @p full with some elements left out: every
+ * element appears in @p full, in the same relative order, and is
+ * bit-identical to its match.
+ */
+void
+expectInOrderSubset(const std::vector<Evaluation> &subset,
+                    const std::vector<Evaluation> &full,
+                    const std::string &what)
+{
+    size_t j = 0;
+    for (size_t i = 0; i < subset.size(); ++i, ++j) {
+        const DesignPoint &p = subset[i].point;
+        while (j < full.size() &&
+               !(full[j].point.solar_mw == p.solar_mw &&
+                 full[j].point.wind_mw == p.wind_mw &&
+                 full[j].point.battery_mwh == p.battery_mwh &&
+                 full[j].point.extra_capacity == p.extra_capacity))
+            ++j;
+        ASSERT_LT(j, full.size())
+            << what << ": evaluation " << i
+            << " is missing from the exhaustive list or out of order";
+        expectEvalIdentical(subset[i], full[j],
+                            what + "/eval" + std::to_string(i));
+    }
+}
+
+/**
  * The core differential check: adaptive vs exhaustive on one region
  * at one thread count. Returns the adaptive stats for aggregation.
  */
@@ -157,8 +185,10 @@ checkRegion(const Region &r, const OptimizationResult &exhaustive,
                                 what + "/front" + std::to_string(i));
     }
 
-    // The skipped points really were skipped: evaluated is a strict
-    // subset whenever anything was excluded.
+    // Every evaluation is the exhaustive one, in exhaustive order, and
+    // the skipped points really were skipped.
+    expectInOrderSubset(adaptive.result.evaluated, exhaustive.evaluated,
+                        what);
     EXPECT_EQ(adaptive.result.evaluated.size() +
                   adaptive.stats.points_skipped,
               exhaustive.evaluated.size())
@@ -258,36 +288,40 @@ TEST(AdaptiveDifferentialSuite, SweepRefinedMatchesOptimizeRefined)
         {"ERCO", 2020, 19.0, 8.0, Strategy::RenewablesOnly, 7, 1, 1},
         {"BPAT", 41, 23.0, 9.0, Strategy::RenewableBattery, 5, 3, 1},
     };
+    const int rounds = 2;
+    auto &c_rounds = obs::counter("explorer.refine_rounds");
     for (const Region &r : sample) {
+        const std::string what = std::string(r.ba) + "/refined";
         const CarbonExplorer explorer(configFor(r));
-        const OptimizationResult refined =
-            explorer.optimizeRefined(spaceFor(r), r.strategy);
-        const AdaptiveSweepResult adaptive =
-            AdaptiveSweeper(explorer).sweepRefined(spaceFor(r),
-                                                   r.strategy);
-        expectEvalIdentical(adaptive.result.best, refined.best,
-                            std::string(r.ba) + "/refined-best");
-    }
-}
 
-TEST(AdaptiveDifferentialSuite, StrideOneDegeneratesToExhaustive)
-{
-    const Region r{"PACE", 2020, 19.0, 8.0, Strategy::RenewablesOnly,
-                   9, 1, 1};
-    const CarbonExplorer explorer(configFor(r));
-    const OptimizationResult exhaustive =
-        explorer.optimize(spaceFor(r), r.strategy);
-    AdaptiveSweepOptions opts;
-    opts.coarse_stride = 1;
-    const AdaptiveSweepResult adaptive =
-        AdaptiveSweeper(explorer, opts).sweep(spaceFor(r), r.strategy);
-    EXPECT_EQ(adaptive.stats.points_skipped, 0u);
-    ASSERT_EQ(adaptive.result.evaluated.size(),
-              exhaustive.evaluated.size());
-    for (size_t i = 0; i < exhaustive.evaluated.size(); ++i)
-        expectEvalIdentical(adaptive.result.evaluated[i],
-                            exhaustive.evaluated[i],
-                            "stride1/" + std::to_string(i));
+        const uint64_t before_exhaustive = c_rounds.value();
+        const OptimizationResult refined =
+            explorer.optimize(spaceFor(r), r.strategy, rounds);
+        EXPECT_EQ(c_rounds.value() - before_exhaustive,
+                  static_cast<uint64_t>(rounds))
+            << what;
+
+        const uint64_t before_adaptive = c_rounds.value();
+        const AdaptiveSweepResult adaptive =
+            AdaptiveSweeper(explorer).sweep(spaceFor(r), r.strategy,
+                                            rounds);
+        EXPECT_EQ(c_rounds.value() - before_adaptive,
+                  static_cast<uint64_t>(rounds))
+            << what;
+
+        expectEvalIdentical(adaptive.result.best, refined.best,
+                            what + "-best");
+        // Pass by pass, the adaptive driver evaluates a subset of the
+        // exhaustive union and accounts for all of it.
+        expectInOrderSubset(adaptive.result.evaluated, refined.evaluated,
+                            what);
+        EXPECT_EQ(adaptive.stats.lattice_points, refined.evaluated.size())
+            << what;
+        EXPECT_THROW(AdaptiveSweeper(explorer).sweep(spaceFor(r),
+                                                     r.strategy, -1),
+                     UserError)
+            << what;
+    }
 }
 
 } // namespace

@@ -1,11 +1,12 @@
 /**
  * @file
- * Determinism contract of the parallel design-space sweep: optimize()
- * and optimizeRefined() must produce bit-identical results at any
- * thread count, the allocation-free workspace paths (supplyFor into a
- * buffer, a reused one-lane batch, ClcBattery::setCapacity) must
- * match their allocating counterparts exactly, and sweep progress
- * must report monotone throttled milestones ending at the total.
+ * Determinism contract of the parallel design-space sweep: optimize(),
+ * with or without refinement rounds, must produce bit-identical
+ * results at any thread count, the allocation-free workspace paths
+ * (supplyFor into a buffer, a reused one-lane batch,
+ * ClcBattery::setCapacity) must match their allocating counterparts
+ * exactly, and sweep progress must report monotone throttled
+ * milestones ending at the total.
  */
 
 #include <gtest/gtest.h>
@@ -159,11 +160,11 @@ TEST(ParallelSweep, OptimizeRefinedBitIdenticalAcrossThreadCounts)
     OptimizationResult serial;
     {
         const ThreadCountGuard guard(1);
-        serial = ex.optimizeRefined(space, strategy, 1);
+        serial = ex.optimize(space, strategy, 1);
     }
     const ThreadCountGuard guard(hardwareThreads());
     const OptimizationResult parallel =
-        ex.optimizeRefined(space, strategy, 1);
+        ex.optimize(space, strategy, 1);
     expectResultIdentical(serial, parallel);
 }
 

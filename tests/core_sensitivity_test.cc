@@ -98,7 +98,7 @@ TEST(RefinedOptimizer, NeverWorseThanCoarseSearch)
         const double coarse =
             explorer.optimize(space, s).best.totalKg().value();
         const double refined =
-            explorer.optimizeRefined(space, s, 2).best.totalKg().value();
+            explorer.optimize(space, s, 2).best.totalKg().value();
         EXPECT_LE(refined, coarse + 1e-9) << strategyName(s);
     }
 }
@@ -112,7 +112,7 @@ TEST(RefinedOptimizer, ZeroRoundsEqualsCoarse)
             .best.totalKg()
             .value();
     const double zero = explorer
-        .optimizeRefined(space, Strategy::RenewableBattery, 0)
+        .optimize(space, Strategy::RenewableBattery, 0)
         .best.totalKg()
         .value();
     EXPECT_DOUBLE_EQ(coarse, zero);
@@ -122,7 +122,7 @@ TEST(RefinedOptimizer, StaysWithinOriginalBounds)
 {
     const CarbonExplorer explorer(baseConfig());
     const DesignSpace space = smallSpace();
-    const OptimizationResult result = explorer.optimizeRefined(
+    const OptimizationResult result = explorer.optimize(
         space, Strategy::RenewableBatteryCas, 3);
     for (const auto &e : result.evaluated) {
         EXPECT_GE(e.point.solar_mw.value(), space.solar_mw.min - 1e-9);
@@ -137,7 +137,7 @@ TEST(RefinedOptimizer, StaysWithinOriginalBounds)
                   space.extra_capacity.max + 1e-9);
     }
     EXPECT_THROW(
-        explorer.optimizeRefined(space, Strategy::RenewablesOnly, -1),
+        explorer.optimize(space, Strategy::RenewablesOnly, -1),
         UserError);
 }
 

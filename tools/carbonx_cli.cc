@@ -390,7 +390,7 @@ cmdOptimize(const ArgParser &args, obs::RunStatus &status)
         }
         if (adaptive) {
             const AdaptiveSweepResult adaptive_result =
-                AdaptiveSweeper(explorer).sweepRefined(space, s);
+                AdaptiveSweeper(explorer).sweep(space, s, 2);
             const AdaptiveSweepStats &st = adaptive_result.stats;
             std::cerr << "refine[" << strategyName(s) << "]: "
                       << st.simulated_points << " simulated, "
@@ -399,7 +399,7 @@ cmdOptimize(const ArgParser &args, obs::RunStatus &status)
                       << " skipped\n";
             bests.push_back(adaptive_result.result.best);
         } else {
-            bests.push_back(explorer.optimizeRefined(space, s).best);
+            bests.push_back(explorer.optimize(space, s, 2).best);
         }
         explorer.setSweepCache(nullptr);
     }

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 
-#include "common/hot_counters.h"
+#include "common/counters.h"
 #include "common/logging.h"
 
 namespace carbonx
@@ -127,16 +127,15 @@ ThreadPool::workChunks(size_t worker_id) noexcept
     // per-chunk loop stays a single fetch_add. "Stolen" counts chunks
     // a pool worker claimed instead of the coordinating caller — the
     // dynamic-chunking analogue of work stealing.
-    static std::atomic<uint64_t> &c_chunks = hot::hotCounter("pool.chunks");
-    static std::atomic<uint64_t> &c_stolen =
-        hot::hotCounter("pool.chunks_stolen");
+    static Counter &c_chunks = counter("pool.chunks");
+    static Counter &c_stolen = counter("pool.chunks_stolen");
     uint64_t chunks_taken = 0;
     const auto flush_counts = [&] {
         if (chunks_taken == 0)
             return;
-        c_chunks.fetch_add(chunks_taken, std::memory_order_relaxed);
+        c_chunks.increment(chunks_taken);
         if (worker_id > 0)
-            c_stolen.fetch_add(chunks_taken, std::memory_order_relaxed);
+            c_stolen.increment(chunks_taken);
     };
     const std::function<void(size_t, size_t)> &fn = *body_;
     for (;;) {
@@ -171,8 +170,7 @@ ThreadPool::workerMain(size_t worker_id)
     // Wall time a live worker spends parked between jobs: the gap
     // between a sweep's aggregate throughput and per-thread
     // throughput is exactly this idle share.
-    static std::atomic<uint64_t> &c_idle_us =
-        hot::hotCounter("pool.idle_us");
+    static Counter &c_idle_us = counter("pool.idle_us");
     t_in_parallel_region = true;
     uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(state_mutex_);
@@ -181,12 +179,10 @@ ThreadPool::workerMain(size_t worker_id)
         cv_start_.wait(lock, [&] {
             return stopping_ || generation_ != seen;
         });
-        c_idle_us.fetch_add(
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - wait_start)
-                    .count()),
-            std::memory_order_relaxed);
+        c_idle_us.increment(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - wait_start)
+                .count()));
         if (stopping_)
             return;
         seen = generation_;
@@ -208,17 +204,16 @@ ThreadPool::run(size_t begin, size_t end, size_t chunk,
     const size_t span = end - begin;
     const size_t threads = threadCount();
 
-    static std::atomic<uint64_t> &c_jobs = hot::hotCounter("pool.jobs");
-    static std::atomic<uint64_t> &c_jobs_inline =
-        hot::hotCounter("pool.jobs_inline");
-    static std::atomic<uint64_t> &c_tasks = hot::hotCounter("pool.tasks");
-    c_jobs.fetch_add(1, std::memory_order_relaxed);
-    c_tasks.fetch_add(span, std::memory_order_relaxed);
+    static Counter &c_jobs = counter("pool.jobs");
+    static Counter &c_jobs_inline = counter("pool.jobs_inline");
+    static Counter &c_tasks = counter("pool.tasks");
+    c_jobs.increment();
+    c_tasks.increment(span);
 
     // Inline paths: single-threaded runs, ranges one chunk can cover,
     // and nested calls from inside another parallelFor body.
     if (threads <= 1 || span <= chunk || t_in_parallel_region) {
-        c_jobs_inline.fetch_add(1, std::memory_order_relaxed);
+        c_jobs_inline.increment();
         const bool was_in_region = t_in_parallel_region;
         t_in_parallel_region = true;
         try {

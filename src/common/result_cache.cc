@@ -6,7 +6,7 @@
 
 #include "common/error.h"
 #include "common/fnv.h"
-#include "common/hot_counters.h"
+#include "common/counters.h"
 #include "common/logging.h"
 
 namespace carbonx
@@ -79,13 +79,10 @@ ResultCache::lookup(const Key &key) const
 const double *
 ResultCache::find(const Key &key) const
 {
-    static std::atomic<uint64_t> &c_hits =
-        hot::hotCounter("result_cache.hits");
-    static std::atomic<uint64_t> &c_misses =
-        hot::hotCounter("result_cache.misses");
+    static Counter &c_hits = counter("result_cache.hits");
+    static Counter &c_misses = counter("result_cache.misses");
     const double *payload = lookup(key);
-    (payload != nullptr ? c_hits : c_misses)
-        .fetch_add(1, std::memory_order_relaxed);
+    (payload != nullptr ? c_hits : c_misses).increment();
     return payload;
 }
 
@@ -94,9 +91,8 @@ ResultCache::insert(const Key &key, const double *payload)
 {
     if (lookup(key) != nullptr)
         return false;
-    static std::atomic<uint64_t> &c_inserts =
-        hot::hotCounter("result_cache.inserts");
-    c_inserts.fetch_add(1, std::memory_order_relaxed);
+    static Counter &c_inserts = counter("result_cache.inserts");
+    c_inserts.increment();
     const auto record = static_cast<uint32_t>(coords_.size());
     coords_.push_back(key);
     payloads_.insert(payloads_.end(), payload, payload + payload_width_);
@@ -115,8 +111,7 @@ ResultCache::load()
     is.seekg(0, std::ios::beg);
 
     const auto fail = [&](const std::string &why) {
-        hot::hotCounter("result_cache.rebuilds")
-            .fetch_add(1, std::memory_order_relaxed);
+        counter("result_cache.rebuilds").increment();
         rebuild_reason_ = why;
         rewrite_needed_ = true;
         truncate_needed_ = false;
@@ -247,13 +242,11 @@ ResultCache::load()
     }
     loaded_from_disk_ = coords_.size();
     flushed_records_ = coords_.size();
-    hot::hotCounter("result_cache.records_loaded")
-        .fetch_add(loaded_from_disk_, std::memory_order_relaxed);
+    counter("result_cache.records_loaded").increment(loaded_from_disk_);
     if (truncate_needed_) {
         // One corrupt tail per load at most: the scan stops at the
         // first block whose digest fails.
-        hot::hotCounter("result_cache.corrupt_blocks")
-            .fetch_add(1, std::memory_order_relaxed);
+        counter("result_cache.corrupt_blocks").increment();
         warn("result cache " + path_ + " has a corrupt tail (" +
              rebuild_reason_ + "); kept " +
              std::to_string(loaded_from_disk_) +
@@ -318,10 +311,8 @@ ResultCache::appendBlock(size_t first, size_t count)
     os.flush();
     require(os.good(), "result cache append failed: " + path_);
     good_prefix_bytes_ += block.size();
-    hot::hotCounter("result_cache.blocks_appended")
-        .fetch_add(1, std::memory_order_relaxed);
-    hot::hotCounter("result_cache.records_appended")
-        .fetch_add(count, std::memory_order_relaxed);
+    counter("result_cache.blocks_appended").increment();
+    counter("result_cache.records_appended").increment(count);
 }
 
 void

@@ -11,7 +11,6 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
 
 namespace carbonx
 {
@@ -182,7 +181,6 @@ AdaptiveSweepResult
 AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
                            int pass) const
 {
-    CARBONX_SPAN("explorer/adaptive_sweep");
     CARBONX_PROFILE("adaptive/pass");
     static auto &c_sweeps = obs::counter("sweep.adaptive_passes");
     static auto &c_skipped = obs::counter("sweep.points_skipped");

@@ -18,7 +18,6 @@
 #include "grid/balancing_authority.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
 #include "scheduler/batched_engine.h"
 
 namespace carbonx
@@ -73,7 +72,7 @@ loadFromExternal(const ExternalTraces &traces)
 ExternalTraces
 ExternalTraces::fromCsv(const std::string &path, int year)
 {
-    CARBONX_SPAN("explorer/load_external_traces");
+    CARBONX_PROFILE("explorer/load_external_traces");
     inform("loading external traces from " + path +
            "; solar/wind columns are rescaled to per-unit shapes");
     const CsvTable csv = CsvTable::readFile(path);
@@ -325,7 +324,7 @@ CarbonExplorer::evaluationFrom(const DesignPoint &point, Strategy strategy,
 SimulationResult
 CarbonExplorer::simulate(const DesignPoint &point, Strategy strategy) const
 {
-    CARBONX_SPAN("explorer/simulate");
+    CARBONX_PROFILE("explorer/simulate");
     obs::counter("explorer.simulations").increment();
     const BatchLaneConfig lane = laneConfig(point, strategy);
     obs::FlightRecorder recording;
@@ -347,7 +346,7 @@ CarbonExplorer::simulate(const DesignPoint &point, Strategy strategy) const
 Evaluation
 CarbonExplorer::evaluate(const DesignPoint &point, Strategy strategy) const
 {
-    CARBONX_SPAN("explorer/evaluate");
+    CARBONX_PROFILE("explorer/evaluate");
     obs::counter("explorer.evaluations").increment();
     return evaluationFrom(point, strategy,
                           runLane(laneConfig(point, strategy)));
@@ -356,7 +355,6 @@ CarbonExplorer::evaluate(const DesignPoint &point, Strategy strategy) const
 ExplainResult
 CarbonExplorer::explain(const DesignPoint &point, Strategy strategy) const
 {
-    CARBONX_SPAN("explorer/explain");
     CARBONX_PROFILE("explorer/explain");
     obs::counter("explorer.explains").increment();
 
@@ -616,7 +614,6 @@ OptimizationResult
 CarbonExplorer::optimizePass(const DesignSpace &space, Strategy strategy,
                              int pass) const
 {
-    CARBONX_SPAN("explorer/optimize");
     CARBONX_PROFILE("sweep/pass");
     static auto &c_passes = obs::counter("explorer.optimize_passes");
     static auto &g_threads = obs::gauge("sweep.threads");
@@ -804,7 +801,7 @@ CarbonExplorer::minimumBatteryForCoverage(MegaWatts solar_mw,
                                           double target_pct,
                                           MegaWattHours max_mwh) const
 {
-    CARBONX_SPAN("explorer/min_battery_bisect");
+    CARBONX_PROFILE("explorer/min_battery_bisect");
     if (max_mwh.value() < 0.0)
         max_mwh = MegaWattHours(100.0 * config_.avg_dc_power_mw.value());
 
@@ -843,7 +840,7 @@ CarbonExplorer::minimumExtraCapacityForCoverage(MegaWatts solar_mw,
                                                 double target_pct,
                                                 Fraction max_extra) const
 {
-    CARBONX_SPAN("explorer/min_extra_capacity_bisect");
+    CARBONX_PROFILE("explorer/min_extra_capacity_bisect");
     auto coverageAt = [&](double extra) {
         return runLane(laneConfig(DesignPoint{solar_mw, wind_mw,
                                               MegaWattHours(0.0),

@@ -9,7 +9,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/profiler.h"
 
 namespace carbonx
 {
@@ -33,7 +33,7 @@ GridSynthesizer::GridSynthesizer(const BalancingAuthorityProfile &profile,
 TimeSeries
 GridSynthesizer::synthesizeDemand(int year) const
 {
-    CARBONX_SPAN("grid/synthesize_demand");
+    CARBONX_PROFILE("grid/synthesize_demand");
     TimeSeries out(year);
     const HourlyCalendar &cal = out.calendar();
     Rng noise(seed_, "grid-demand");
@@ -87,10 +87,9 @@ GridSynthesizer::synthesize(int year, double renewable_scale) const
     require(renewable_scale >= 0.0,
             "renewable scale must be non-negative");
 
-    CARBONX_SPAN("grid/synthesize");
     static auto &c_calls = obs::counter("grid.synthesize_calls");
     static auto &h_synth = obs::latency("grid.synthesize_us");
-    const obs::LatencyTimer timer(h_synth);
+    CARBONX_PROFILE("grid/synthesize", &h_synth);
     c_calls.increment();
 
     GridTrace trace(year);

@@ -5,7 +5,7 @@
 
 #include "common/error.h"
 #include "common/fnv.h"
-#include "common/hot_counters.h"
+#include "common/counters.h"
 #include "common/logging.h"
 
 namespace carbonx::obs
@@ -250,10 +250,8 @@ DecisionJournal::flush()
     os.flush();
     require(os.good(), "decision journal append failed: " + path_);
     flushed_rows_ += staged_.size();
-    hot::hotCounter("journal.blocks_appended")
-        .fetch_add(1, std::memory_order_relaxed);
-    hot::hotCounter("journal.rows_appended")
-        .fetch_add(count, std::memory_order_relaxed);
+    counter("journal.blocks_appended").increment();
+    counter("journal.rows_appended").increment(count);
 }
 
 JournalData

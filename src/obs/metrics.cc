@@ -9,7 +9,6 @@
 
 #include "common/error.h"
 #include "common/fnv.h"
-#include "common/hot_counters.h"
 #include "common/json.h"
 #include "common/table.h"
 #include "obs/provenance.h"
@@ -36,23 +35,6 @@ jsonNumber(double v)
     os.precision(15);
     os << v;
     return os.str();
-}
-
-/**
- * The registry's own counters plus the common layer's hot counters,
- * as one sorted name->value view. On a (never expected) name clash
- * the registry's counter wins.
- */
-std::map<std::string, uint64_t>
-mergedCounterValues(const std::map<std::string, Counter> &own)
-{
-    std::map<std::string, uint64_t> merged;
-    for (const auto &[name, c] : own)
-        merged.emplace(name, c.value());
-    for (const auto &[name, v] :
-         hot::HotCounterRegistry::instance().snapshot())
-        merged.emplace(name, v);
-    return merged;
 }
 
 /** Map a registry name onto the Prometheus charset, with prefix. */
@@ -190,8 +172,7 @@ MetricsRegistry::instance()
 Counter &
 MetricsRegistry::counter(const std::string &name)
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return counters_[name];
+    return ::carbonx::counter(name);
 }
 
 Gauge &
@@ -211,10 +192,7 @@ MetricsRegistry::latency(const std::string &name)
 std::vector<std::pair<std::string, uint64_t>>
 MetricsRegistry::counterValues() const
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const std::map<std::string, uint64_t> merged =
-        mergedCounterValues(counters_);
-    return {merged.begin(), merged.end()};
+    return counterSnapshot();
 }
 
 void
@@ -226,7 +204,7 @@ MetricsRegistry::writeText(std::ostream &os) const
     TextTable table("Metrics registry",
                     {"Kind", "Name", "Count/Value", "Mean us", "Min us",
                      "Max us"});
-    for (const auto &[name, v] : mergedCounterValues(counters_)) {
+    for (const auto &[name, v] : counterSnapshot()) {
         table.addRow({"counter", name, std::to_string(v), "-",
                       "-", "-"});
     }
@@ -255,7 +233,7 @@ MetricsRegistry::writeJson(std::ostream &os) const
     }
     os << "  \"counters\": {";
     bool first = true;
-    for (const auto &[name, v] : mergedCounterValues(counters_)) {
+    for (const auto &[name, v] : counterSnapshot()) {
         os << (first ? "" : ",") << "\n    \"" << jsonEscapeString(name)
            << "\": " << v;
         first = false;
@@ -298,7 +276,7 @@ MetricsRegistry::writeCsv(std::ostream &os) const
         processProvenance().writeCommentHeader(os, "# ");
     const std::lock_guard<std::mutex> lock(mutex_);
     os << "kind,name,field,value\n";
-    for (const auto &[name, v] : mergedCounterValues(counters_))
+    for (const auto &[name, v] : counterSnapshot())
         os << "counter," << name << ",value," << v << '\n';
     for (const auto &[name, g] : gauges_)
         os << "gauge," << name << ",value," << jsonNumber(g.value())
@@ -324,8 +302,7 @@ MetricsRegistry::dumpPrometheus(std::ostream &os) const
     if (hasProcessProvenance())
         processProvenance().writeCommentHeader(os, "# ");
     const std::lock_guard<std::mutex> lock(mutex_);
-    const std::map<std::string, uint64_t> counters =
-        mergedCounterValues(counters_);
+    const auto counters = counterSnapshot();
     std::vector<std::string> raw_names;
     for (const auto &[name, v] : counters)
         raw_names.push_back(name);
@@ -383,27 +360,12 @@ MetricsRegistry::writeFile(const std::string &path) const
 void
 MetricsRegistry::reset()
 {
-    hot::HotCounterRegistry::instance().reset();
+    resetCounters();
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &[name, c] : counters_)
-        c.reset();
     for (auto &[name, g] : gauges_)
         g.reset();
     for (auto &[name, h] : latencies_)
         h.reset();
-}
-
-bool
-MetricsRegistry::empty() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return counters_.empty() && gauges_.empty() && latencies_.empty();
-}
-
-Counter &
-counter(const std::string &name)
-{
-    return MetricsRegistry::instance().counter(name);
 }
 
 Gauge &

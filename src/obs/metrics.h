@@ -15,7 +15,6 @@
 #define CARBONX_OBS_METRICS_H
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -23,30 +22,15 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/histogram.h"
 
 namespace carbonx::obs
 {
 
-/** Monotonically increasing event count. */
-class Counter
-{
-  public:
-    void increment(uint64_t n = 1)
-    {
-        value_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    uint64_t value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<uint64_t> value_{0};
-};
+/** Counters live in the common layer's store; these are its names. */
+using ::carbonx::Counter;
+using ::carbonx::counter;
 
 /** Last-value-wins double, with an atomic accumulate for totals. */
 class Gauge
@@ -114,30 +98,6 @@ class LatencyHistogram
     double max_us_ = 0.0;
 };
 
-/** RAII timer recording its scope's wall time into a histogram. */
-class LatencyTimer
-{
-  public:
-    explicit LatencyTimer(LatencyHistogram &hist)
-        : hist_(hist), start_(std::chrono::steady_clock::now())
-    {
-    }
-
-    LatencyTimer(const LatencyTimer &) = delete;
-    LatencyTimer &operator=(const LatencyTimer &) = delete;
-
-    ~LatencyTimer()
-    {
-        const std::chrono::duration<double, std::micro> us =
-            std::chrono::steady_clock::now() - start_;
-        hist_.record(us.count());
-    }
-
-  private:
-    LatencyHistogram &hist_;
-    std::chrono::steady_clock::time_point start_;
-};
-
 /**
  * The process-wide instrument registry. Lookup is mutex-protected;
  * updates on the returned instruments are lock-free (counters/gauges)
@@ -148,14 +108,14 @@ class MetricsRegistry
   public:
     static MetricsRegistry &instance();
 
+    /** The common layer's counter(@p name). */
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
     LatencyHistogram &latency(const std::string &name);
 
     /**
-     * Snapshot of every counter (registry plus the common layer's hot
-     * counters), name -> value, sorted by name. The bench reporter
-     * embeds this per scenario.
+     * Snapshot of every counter, name -> value, sorted by name. The
+     * bench reporter embeds this per scenario.
      */
     std::vector<std::pair<std::string, uint64_t>> counterValues() const;
 
@@ -187,30 +147,18 @@ class MetricsRegistry
     void writeFile(const std::string &path) const;
 
     /**
-     * Zero every instrument in place, including the common layer's
-     * hot counters. Previously returned references stay valid;
-     * nothing is deregistered.
+     * Zero every instrument in place, counters included. Previously
+     * returned references stay valid; nothing is deregistered.
      */
     void reset();
-
-    /**
-     * True when no instrument has been registered here yet. The
-     * common layer's hot counters (merged into every dump) are not
-     * consulted — they register lazily on unrelated code paths.
-     */
-    bool empty() const;
 
   private:
     MetricsRegistry() = default;
 
     mutable std::mutex mutex_;
-    std::map<std::string, Counter> counters_;
     std::map<std::string, Gauge> gauges_;
     std::map<std::string, LatencyHistogram> latencies_;
 };
-
-/** Shorthand for MetricsRegistry::instance().counter(name). */
-Counter &counter(const std::string &name);
 
 /** Shorthand for MetricsRegistry::instance().gauge(name). */
 Gauge &gauge(const std::string &name);

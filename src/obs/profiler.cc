@@ -7,6 +7,7 @@
 
 #include "common/json.h"
 #include "common/table.h"
+#include "obs/metrics.h"
 
 namespace carbonx::obs
 {
@@ -198,6 +199,25 @@ PhaseProfiler::endPhase(Node *node, uint64_t elapsed_ns)
     node->total_ns += elapsed_ns;
     if (t_tree != nullptr && t_tree->current == node)
         t_tree->current = node->parent;
+}
+
+void
+ScopedPhase::finish()
+{
+    const auto end = std::chrono::steady_clock::now();
+    const auto elapsed = end - start_;
+    if (node_ != nullptr)
+        PhaseProfiler::instance().endPhase(
+            node_,
+            static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    elapsed)
+                    .count()));
+    if (traced_)
+        SpanTracer::instance().record(name_, start_, end);
+    if (histogram_ != nullptr)
+        histogram_->record(
+            std::chrono::duration<double, std::micro>(elapsed).count());
 }
 
 void

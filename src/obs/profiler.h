@@ -1,13 +1,20 @@
 /**
  * @file
- * Hierarchical scoped phase profiler.
+ * The one scoped timer: CARBONX_PROFILE, and the hierarchical phase
+ * profiler behind it.
  *
  * Usage:
  *
- *     void CarbonExplorer::optimizePass(...) {
- *         CARBONX_PROFILE("sweep/pass");
+ *     void GridSynthesizer::synthesize(...) {
+ *         static auto &h_synth = obs::latency("grid.synthesize_us");
+ *         CARBONX_PROFILE("grid/synthesize", &h_synth);
  *         ...
  *     }
+ *
+ * One scope takes one start and one end instant and feeds every sink
+ * that was on when it opened: the profile tree (PhaseProfiler), one
+ * Chrome "X" event (SpanTracer), and the optional latency histogram,
+ * which is always recorded.
  *
  * Phases nest lexically per thread into a call tree; every node
  * accumulates count, total wall time, and min/max per entry. Each
@@ -15,11 +22,12 @@
  * folds all per-thread trees into one aggregate keyed by phase name,
  * with self time (total minus children) computed on export.
  *
- * The profiler is disabled by default; a disabled CARBONX_PROFILE
- * costs one relaxed atomic load, mirroring CARBONX_SPAN, so the
- * macros stay in release hot paths. Enabling only reads clocks — it
- * never alters simulation arithmetic, so sweeps stay bit-identical at
- * any thread count with profiling on.
+ * The profiler and the tracer are disabled by default; with both off
+ * and no histogram, a CARBONX_PROFILE costs two relaxed atomic loads
+ * and reads no clock, so the macro stays in release hot paths.
+ * Enabling only reads clocks — it never alters simulation arithmetic,
+ * so sweeps stay bit-identical at any thread count with profiling or
+ * tracing on.
  *
  * Phase names must be unique string literals tree-wide (enforced by
  * carbonx-lint rule profile-phase): literals give stable pointers for
@@ -44,8 +52,12 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
+
 namespace carbonx::obs
 {
+
+class LatencyHistogram;
 
 /** One node of the merged (cross-thread) phase tree. */
 struct ProfileNode
@@ -124,19 +136,29 @@ void writeProfileJson(std::ostream &os, const ProfileNode &node,
                       const std::string &indent);
 
 /**
- * RAII phase: opens on construction when profiling is enabled, closes
- * and accumulates on destruction. Captures the enabled state at
- * construction so toggling mid-phase cannot unbalance the stack.
+ * RAII timer behind CARBONX_PROFILE. Reads the profiler and tracer
+ * flags once, at construction, so toggling either mid-scope cannot
+ * unbalance the profile tree or drop a span already opened.
  */
 class ScopedPhase
 {
   public:
-    explicit ScopedPhase(const char *name)
-        : node_(PhaseProfiler::instance().enabled()
+    /**
+     * @param name Phase label; a string literal (the profile tree
+     *        keeps the pointer).
+     * @param histogram Optional latency histogram, recorded in
+     *        microseconds whether or not profiling or tracing is on.
+     */
+    explicit ScopedPhase(const char *name,
+                         LatencyHistogram *histogram = nullptr)
+        : name_(name),
+          node_(PhaseProfiler::instance().enabled()
                     ? PhaseProfiler::instance().beginPhase(name)
-                    : nullptr)
+                    : nullptr),
+          histogram_(histogram),
+          traced_(SpanTracer::instance().enabled())
     {
-        if (node_ != nullptr)
+        if (timed())
             start_ = std::chrono::steady_clock::now();
     }
 
@@ -145,30 +167,37 @@ class ScopedPhase
 
     ~ScopedPhase()
     {
-        if (node_ == nullptr)
-            return;
-        const auto elapsed =
-            std::chrono::steady_clock::now() - start_;
-        PhaseProfiler::instance().endPhase(
-            node_,
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    elapsed)
-                    .count()));
+        if (timed())
+            finish();
     }
 
   private:
+    bool timed() const
+    {
+        return node_ != nullptr || traced_ || histogram_ != nullptr;
+    }
+
+    /** Take the end instant and feed every sink captured at entry. */
+    void finish();
+
+    const char *name_;
     PhaseProfiler::Node *node_;
+    LatencyHistogram *histogram_;
+    bool traced_;
     std::chrono::steady_clock::time_point start_;
 };
 
 #define CARBONX_PROFILE_CONCAT2(a, b) a##b
 #define CARBONX_PROFILE_CONCAT(a, b) CARBONX_PROFILE_CONCAT2(a, b)
 
-/** Time the enclosing scope as one phase named @p name (a literal). */
-#define CARBONX_PROFILE(name)                                         \
+/**
+ * Time the enclosing scope as one phase named by a literal, optionally
+ * also into a latency histogram: CARBONX_PROFILE("a/b") or
+ * CARBONX_PROFILE("a/b", &histogram).
+ */
+#define CARBONX_PROFILE(...)                                          \
     ::carbonx::obs::ScopedPhase CARBONX_PROFILE_CONCAT(               \
-        carbonx_phase_, __LINE__)(name)
+        carbonx_phase_, __LINE__)(__VA_ARGS__)
 
 } // namespace carbonx::obs
 

@@ -14,15 +14,6 @@ namespace carbonx::obs
 namespace
 {
 
-/** One open span on the calling thread. */
-struct OpenSpan
-{
-    const char *name;
-    uint64_t start_us;
-};
-
-thread_local std::vector<OpenSpan> t_stack;
-
 uint32_t
 threadId()
 {
@@ -45,30 +36,26 @@ SpanTracer::instance()
 }
 
 uint64_t
-SpanTracer::nowUs() const
+SpanTracer::sinceEpochUs(std::chrono::steady_clock::time_point t) const
 {
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - epoch_);
+    const auto us =
+        std::chrono::duration_cast<std::chrono::microseconds>(t - epoch_);
     return static_cast<uint64_t>(us.count());
 }
 
 void
-SpanTracer::beginSpan(const char *name)
+SpanTracer::record(const char *name,
+                   std::chrono::steady_clock::time_point start,
+                   std::chrono::steady_clock::time_point end)
 {
-    t_stack.push_back(OpenSpan{name, nowUs()});
-}
-
-void
-SpanTracer::endSpan()
-{
-    ensure(!t_stack.empty(), "endSpan without a matching beginSpan");
-    const OpenSpan open = t_stack.back();
-    t_stack.pop_back();
-    const uint64_t end_us = nowUs();
+    // Truncating the elapsed time on its own could push a child's end
+    // 1 us past its parent's; the difference of two truncated instants
+    // cannot.
+    const uint64_t end_us = sinceEpochUs(end);
     Event event;
-    event.name = open.name;
-    event.ts_us = open.start_us;
-    event.dur_us = end_us > open.start_us ? end_us - open.start_us : 0;
+    event.name = name;
+    event.ts_us = sinceEpochUs(start);
+    event.dur_us = end_us - event.ts_us;
     event.tid = threadId();
     const std::lock_guard<std::mutex> lock(mutex_);
     events_.push_back(std::move(event));
@@ -102,12 +89,6 @@ SpanTracer::eventCount() const
 {
     const std::lock_guard<std::mutex> lock(mutex_);
     return events_.size();
-}
-
-size_t
-SpanTracer::openSpanDepth() const
-{
-    return t_stack.size();
 }
 
 void

@@ -1,19 +1,13 @@
 /**
  * @file
- * Scoped span tracing with Chrome trace_event JSON export.
+ * Span collection with Chrome trace_event JSON export.
  *
- * Usage:
- *
- *     void CarbonExplorer::evaluate(...) {
- *         CARBONX_SPAN("explorer/evaluate");
- *         ...
- *     }
- *
- * Spans form a parent/child hierarchy through lexical nesting on each
- * thread; the exported file loads directly in chrome://tracing or
- * https://ui.perfetto.dev. The tracer is disabled by default and a
- * disabled span costs one relaxed atomic load — cheap enough to leave
- * in release hot paths.
+ * Spans come from CARBONX_PROFILE scopes (obs/profiler.h): while the
+ * tracer is enabled, every such scope records one complete ("X")
+ * event when it closes. Chrome infers the parent/child hierarchy from
+ * time containment per thread; the exported file loads directly in
+ * chrome://tracing or https://ui.perfetto.dev. The tracer is disabled
+ * by default.
  */
 
 #ifndef CARBONX_OBS_TRACE_H
@@ -48,14 +42,14 @@ class SpanTracer
     }
 
     /**
-     * Open a span on the calling thread. Must be paired with
-     * endSpan() on the same thread; prefer CARBONX_SPAN, which
-     * guarantees the pairing.
+     * Record one completed span of the calling thread. Start and end
+     * become whole microseconds since the tracer epoch, and the
+     * duration is their difference, so a span that lies inside
+     * another one on the same thread stays inside it in the trace.
      */
-    void beginSpan(const char *name);
-
-    /** Close the innermost open span of the calling thread. */
-    void endSpan();
+    void record(const char *name,
+                std::chrono::steady_clock::time_point start,
+                std::chrono::steady_clock::time_point end);
 
     /**
      * Attach a counter track: one named series sampled once per
@@ -73,9 +67,6 @@ class SpanTracer
 
     /** Completed spans recorded so far. */
     size_t eventCount() const;
-
-    /** Depth of the calling thread's open-span stack. */
-    size_t openSpanDepth() const;
 
     /** Chrome trace_event JSON ("X" complete events). */
     void writeChromeTrace(std::ostream &os) const;
@@ -97,7 +88,7 @@ class SpanTracer
 
     SpanTracer();
 
-    uint64_t nowUs() const;
+    uint64_t sinceEpochUs(std::chrono::steady_clock::time_point t) const;
 
     std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point epoch_;
@@ -105,48 +96,6 @@ class SpanTracer
     std::vector<Event> events_;
     std::vector<std::pair<std::string, std::vector<double>>> counters_;
 };
-
-/**
- * RAII span: opens on construction when tracing is enabled, closes on
- * destruction. Captures the enabled state at construction so that
- * toggling mid-span cannot unbalance the stack.
- */
-class ScopedSpan
-{
-  public:
-    /**
-     * @param name Span label; a string literal (the pointer must stay
-     *        valid until the span closes).
-     * @param condition Extra gate; the span records only when tracing
-     *        is enabled and this is true.
-     */
-    explicit ScopedSpan(const char *name, bool condition = true)
-        : active_(condition && SpanTracer::instance().enabled())
-    {
-        if (active_)
-            SpanTracer::instance().beginSpan(name);
-    }
-
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
-
-    ~ScopedSpan()
-    {
-        if (active_)
-            SpanTracer::instance().endSpan();
-    }
-
-  private:
-    bool active_;
-};
-
-#define CARBONX_SPAN_CONCAT2(a, b) a##b
-#define CARBONX_SPAN_CONCAT(a, b) CARBONX_SPAN_CONCAT2(a, b)
-
-/** Trace the enclosing scope as one span named @p name. */
-#define CARBONX_SPAN(...)                                             \
-    ::carbonx::obs::ScopedSpan CARBONX_SPAN_CONCAT(carbonx_span_,     \
-                                                   __LINE__)(__VA_ARGS__)
 
 } // namespace carbonx::obs
 

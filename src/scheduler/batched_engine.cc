@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace carbonx
 {
@@ -37,7 +36,7 @@ void
 BatchedSimulationEngine::run(SimulationBatch &batch,
                              obs::FlightRecorder *recorder) const
 {
-    CARBONX_SPAN("sim/batch_run");
+    CARBONX_PROFILE("sim/batch_run");
     static auto &c_batches = obs::counter("sim.batch_runs");
     static auto &c_lanes = obs::counter("sim.batch_lanes");
     static auto &c_hours = obs::counter("sim.hours_simulated");

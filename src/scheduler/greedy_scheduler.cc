@@ -8,7 +8,7 @@
 #include "common/error.h"
 #include "common/tolerances.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/profiler.h"
 
 namespace carbonx
 {
@@ -35,11 +35,10 @@ GreedyCarbonScheduler::schedule(const TimeSeries &dc_power,
                 config_.capacity_cap_mw.value() + kCapacityCapSlackMw,
             "existing load already exceeds the capacity cap");
 
-    CARBONX_SPAN("scheduler/greedy");
     static auto &c_runs = obs::counter("scheduler.greedy_runs");
     static auto &g_moved = obs::gauge("scheduler.moved_mwh_total");
     static auto &h_run = obs::latency("scheduler.greedy_us");
-    const obs::LatencyTimer timer(h_run);
+    CARBONX_PROFILE("scheduler/greedy", &h_run);
     c_runs.increment();
 
     ScheduleResult result = config_.slo_window_hours.value() >= 24.0

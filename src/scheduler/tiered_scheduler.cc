@@ -6,7 +6,7 @@
 #include "common/error.h"
 #include "common/tolerances.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/profiler.h"
 
 namespace carbonx
 {
@@ -27,7 +27,7 @@ TieredScheduler::schedule(const TimeSeries &dc_power,
                 capacity_cap_mw_.value() + kCapacityCapSlackMw,
             "existing load already exceeds the capacity cap");
 
-    CARBONX_SPAN("scheduler/tiered");
+    CARBONX_PROFILE("scheduler/tiered");
     obs::counter("scheduler.tiered_runs").increment();
 
     const size_t n = dc_power.size();

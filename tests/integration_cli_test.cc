@@ -226,7 +226,7 @@ TEST(Cli, OptimizeWritesMetricsAndTraceFiles)
 
     const std::string trace = readFile(trace_path);
     EXPECT_EQ(trace.rfind("{\"traceEvents\": [", 0), 0u);
-    EXPECT_NE(trace.find("explorer/optimize"), std::string::npos);
+    EXPECT_NE(trace.find("sweep/pass"), std::string::npos);
     EXPECT_NE(trace.find("grid/synthesize"), std::string::npos);
     EXPECT_NE(trace.find("sim/batch_run"), std::string::npos);
 

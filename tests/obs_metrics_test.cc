@@ -13,8 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/fnv.h"
-#include "common/hot_counters.h"
 #include "obs/metrics.h"
 
 namespace carbonx::obs
@@ -335,8 +335,7 @@ TEST(Metrics, HotCountersMergeIntoEveryDump)
 {
     auto &registry = MetricsRegistry::instance();
     registry.reset();
-    hot::hotCounter("test.hot_merged")
-        .fetch_add(11, std::memory_order_relaxed);
+    ::carbonx::counter("test.hot_merged").increment(11);
 
     std::ostringstream json_os;
     registry.writeJson(json_os);
@@ -359,11 +358,19 @@ TEST(Metrics, HotCountersMergeIntoEveryDump)
         found = found || (name == "test.hot_merged" && value == 11);
     EXPECT_TRUE(found);
 
-    // Registry reset() zeroes hot counters too.
+    // Registry reset() zeroes the common layer's counters too.
     registry.reset();
-    EXPECT_EQ(hot::hotCounter("test.hot_merged")
-                  .load(std::memory_order_relaxed),
-              0u);
+    EXPECT_EQ(::carbonx::counter("test.hot_merged").value(), 0u);
+}
+
+TEST(Metrics, ObsAndCommonCounterNamesShareOneStore)
+{
+    Counter &via_obs = obs::counter("test.one_store");
+    Counter &via_common = ::carbonx::counter("test.one_store");
+    Counter &via_registry =
+        MetricsRegistry::instance().counter("test.one_store");
+    EXPECT_EQ(&via_obs, &via_common);
+    EXPECT_EQ(&via_obs, &via_registry);
 }
 
 } // namespace

@@ -1,17 +1,25 @@
 /**
  * @file
- * Unit tests for the hierarchical phase profiler: nesting, counts,
- * cross-thread merge, enable/disable, reset, and JSON output.
+ * Unit tests for CARBONX_PROFILE and the hierarchical phase profiler:
+ * nesting, counts, cross-thread merge, enable/disable, reset, JSON
+ * output, and the one scope feeding the profile tree, the Chrome
+ * trace and a latency histogram from the same two instants.
  */
 
 #include "obs/profiler.h"
 
+#include <chrono>
+#include <cstdlib>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace carbonx::obs
 {
@@ -217,6 +225,171 @@ TEST(PhaseProfiler, ScopedPhaseCapturesEnabledAtConstruction)
     const ProfileNode root = PhaseProfiler::instance().merged();
     EXPECT_EQ(root.find("toggled/phase"), nullptr);
     PhaseProfiler::instance().reset();
+}
+
+/** One "X" event parsed from the one-event-per-line trace JSON. */
+struct XEvent
+{
+    std::string name;
+    uint64_t ts = 0;
+    uint64_t dur = 0;
+};
+
+uint64_t
+fieldAfter(const std::string &line, const std::string &key)
+{
+    const std::string needle = "\"" + key + "\": ";
+    const size_t pos = line.find(needle);
+    return pos == std::string::npos
+               ? 0
+               : std::strtoull(line.c_str() + pos + needle.size(),
+                               nullptr, 10);
+}
+
+std::vector<XEvent>
+tracedEvents()
+{
+    std::ostringstream os;
+    SpanTracer::instance().writeChromeTrace(os);
+    std::vector<XEvent> events;
+    std::istringstream lines(os.str());
+    std::string line;
+    while (std::getline(lines, line)) {
+        const size_t at = line.find("{\"name\": \"");
+        if (at == std::string::npos ||
+            line.find("\"ph\": \"X\"") == std::string::npos)
+            continue;
+        const size_t start = at + 10;
+        events.push_back(XEvent{line.substr(start, line.find('"', start) -
+                                                       start),
+                                fieldAfter(line, "ts"),
+                                fieldAfter(line, "dur")});
+    }
+    return events;
+}
+
+/** Turns the two sinks on or off for one test and clears both after. */
+class Sinks
+{
+  public:
+    Sinks(bool profile, bool trace)
+    {
+        clear();
+        PhaseProfiler::instance().setEnabled(profile);
+        SpanTracer::instance().setEnabled(trace);
+    }
+
+    ~Sinks() { clear(); }
+
+  private:
+    static void clear()
+    {
+        PhaseProfiler::instance().setEnabled(false);
+        SpanTracer::instance().setEnabled(false);
+        PhaseProfiler::instance().reset();
+        SpanTracer::instance().clear();
+    }
+};
+
+/** Burn roughly @p us microseconds so a scope spans clock ticks. */
+void
+spin(double us)
+{
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::duration<double, std::micro>(us);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+}
+
+TEST(ScopedPhase, BothSinksSeeOneScopeFromTheSameInstants)
+{
+    const Sinks sinks(true, true);
+    {
+        CARBONX_PROFILE("both/scope");
+        spin(50.0);
+    }
+    const ProfileNode root = PhaseProfiler::instance().merged();
+    const ProfileNode *node = root.find("both/scope");
+    ASSERT_NE(node, nullptr);
+    EXPECT_EQ(node->count, 1u);
+
+    const std::vector<XEvent> events = tracedEvents();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].name, "both/scope");
+    // dur is the difference of two truncated microsecond instants, so
+    // it stays within one microsecond of the profiler's nanoseconds.
+    const auto dur_ns = static_cast<int64_t>(events[0].dur * 1000);
+    EXPECT_LT(std::llabs(dur_ns - static_cast<int64_t>(node->total_ns)),
+              1000);
+}
+
+TEST(ScopedPhase, OnlyTheProfilerRecordsWhenTracingIsOff)
+{
+    const Sinks sinks(true, false);
+    {
+        CARBONX_PROFILE("profile/only");
+    }
+    const ProfileNode *node =
+        PhaseProfiler::instance().merged().find("profile/only");
+    ASSERT_NE(node, nullptr);
+    EXPECT_EQ(node->count, 1u);
+    EXPECT_EQ(SpanTracer::instance().eventCount(), 0u);
+}
+
+TEST(ScopedPhase, OnlyTheTracerRecordsWhenProfilingIsOff)
+{
+    const Sinks sinks(false, true);
+    {
+        CARBONX_PROFILE("trace/only");
+    }
+    EXPECT_TRUE(PhaseProfiler::instance().merged().children.empty());
+    const std::vector<XEvent> events = tracedEvents();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].name, "trace/only");
+}
+
+TEST(ScopedPhase, HistogramRecordsOneSampleWithBothSinksOff)
+{
+    const Sinks sinks(false, false);
+    LatencyHistogram hist;
+    {
+        CARBONX_PROFILE("histogram/only", &hist);
+        spin(5.0);
+    }
+    EXPECT_EQ(hist.count(), 1u);
+    EXPECT_GT(hist.totalUs(), 0.0);
+    EXPECT_TRUE(PhaseProfiler::instance().merged().children.empty());
+    EXPECT_EQ(SpanTracer::instance().eventCount(), 0u);
+}
+
+TEST(ScopedPhase, NestedSpansStayContainedOverManyRuns)
+{
+    // A child shorter than its parent but straddling microsecond
+    // boundaries differently must never end after it in the trace.
+    const Sinks sinks(false, true);
+    constexpr int kRuns = 10000;
+    for (int run = 0; run < kRuns; ++run) {
+        CARBONX_PROFILE("nested/parent");
+        spin(0.3);
+        {
+            CARBONX_PROFILE("nested/child");
+            spin(1.0);
+        }
+    }
+    const std::vector<XEvent> events = tracedEvents();
+    ASSERT_EQ(events.size(), 2u * kRuns);
+    size_t overruns = 0;
+    // Children close first: events alternate child, parent.
+    for (size_t i = 0; i + 1 < events.size(); i += 2) {
+        const XEvent &child = events[i];
+        const XEvent &parent = events[i + 1];
+        ASSERT_EQ(child.name, "nested/child");
+        ASSERT_EQ(parent.name, "nested/parent");
+        if (child.ts < parent.ts ||
+            child.ts + child.dur > parent.ts + parent.dur)
+            ++overruns;
+    }
+    EXPECT_EQ(overruns, 0u);
 }
 
 } // namespace

@@ -1,17 +1,20 @@
 /**
  * @file
- * Tests of the span tracer: disabled-by-default no-op behaviour, span
- * nesting, and the Chrome trace_event JSON export.
+ * Tests of the span tracer as fed by CARBONX_PROFILE scopes:
+ * disabled-by-default no-op behaviour, span nesting, and the Chrome
+ * trace_event JSON export.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace carbonx::obs
@@ -25,6 +28,7 @@ struct ParsedEvent
     std::string name;
     uint64_t ts = 0;
     uint64_t dur = 0;
+    uint64_t tid = 0;
     uint64_t end() const { return ts + dur; }
 };
 
@@ -57,6 +61,7 @@ parseTrace(const std::string &json)
                              line.find('"', name_start) - name_start);
         e.ts = numberAfter(line, "ts");
         e.dur = numberAfter(line, "dur");
+        e.tid = numberAfter(line, "tid");
         events.push_back(std::move(e));
     }
     return events;
@@ -84,9 +89,8 @@ TEST_F(Trace, DisabledTracerRecordsNothing)
     auto &tracer = SpanTracer::instance();
     ASSERT_FALSE(tracer.enabled());
     {
-        CARBONX_SPAN("test/disabled_outer");
-        CARBONX_SPAN("test/disabled_inner");
-        EXPECT_EQ(tracer.openSpanDepth(), 0u);
+        CARBONX_PROFILE("test/disabled_outer");
+        CARBONX_PROFILE("test/disabled_inner");
     }
     EXPECT_EQ(tracer.eventCount(), 0u);
 
@@ -95,38 +99,22 @@ TEST_F(Trace, DisabledTracerRecordsNothing)
     EXPECT_TRUE(parseTrace(os.str()).empty());
 }
 
-TEST_F(Trace, ConditionGateSuppressesSpan)
-{
-    auto &tracer = SpanTracer::instance();
-    tracer.setEnabled(true);
-    {
-        ScopedSpan skipped("test/condition_false", false);
-        ScopedSpan taken("test/condition_true", true);
-        EXPECT_EQ(tracer.openSpanDepth(), 1u);
-    }
-    ASSERT_EQ(tracer.eventCount(), 1u);
-
-    std::ostringstream os;
-    tracer.writeChromeTrace(os);
-    EXPECT_NE(os.str().find("test/condition_true"), std::string::npos);
-    EXPECT_EQ(os.str().find("test/condition_false"), std::string::npos);
-}
-
 TEST_F(Trace, NestedSpansAreContainedInTheirParent)
 {
     auto &tracer = SpanTracer::instance();
     tracer.setEnabled(true);
     {
-        CARBONX_SPAN("test/outer");
+        CARBONX_PROFILE("test/outer");
         {
-            CARBONX_SPAN("test/middle");
+            CARBONX_PROFILE("test/middle");
             {
-                CARBONX_SPAN("test/inner");
-                EXPECT_EQ(tracer.openSpanDepth(), 3u);
+                CARBONX_PROFILE("test/inner");
+                // Spans are recorded when they close.
+                EXPECT_EQ(tracer.eventCount(), 0u);
             }
+            EXPECT_EQ(tracer.eventCount(), 1u);
         }
     }
-    EXPECT_EQ(tracer.openSpanDepth(), 0u);
     ASSERT_EQ(tracer.eventCount(), 3u);
 
     std::ostringstream os;
@@ -160,10 +148,10 @@ TEST_F(Trace, ChromeTraceJsonIsWellFormed)
     auto &tracer = SpanTracer::instance();
     tracer.setEnabled(true);
     {
-        CARBONX_SPAN("test/json \"quoted\"");
+        CARBONX_PROFILE("test/json \"quoted\"");
     }
     {
-        CARBONX_SPAN("test/json_second");
+        CARBONX_PROFILE("test/json_second");
     }
 
     std::ostringstream os;
@@ -191,12 +179,11 @@ TEST_F(Trace, DisablingMidSpanStillClosesIt)
     auto &tracer = SpanTracer::instance();
     tracer.setEnabled(true);
     {
-        CARBONX_SPAN("test/toggled");
+        CARBONX_PROFILE("test/toggled");
         tracer.setEnabled(false);
     }
     // The span captured "enabled" at construction, so it must close
     // cleanly and still record its event.
-    EXPECT_EQ(tracer.openSpanDepth(), 0u);
     EXPECT_EQ(tracer.eventCount(), 1u);
 }
 
@@ -209,17 +196,38 @@ TEST_F(Trace, ThreadsGetDistinctSpanStacks)
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&tracer] {
-            CARBONX_SPAN("test/thread_outer");
-            CARBONX_SPAN("test/thread_inner");
-            EXPECT_EQ(tracer.openSpanDepth(), 2u);
+        threads.emplace_back([] {
+            CARBONX_PROFILE("test/thread_outer");
+            CARBONX_PROFILE("test/thread_inner");
         });
     }
     for (auto &thread : threads)
         thread.join();
+    ASSERT_EQ(tracer.eventCount(), 2u * kThreads);
 
-    EXPECT_EQ(tracer.openSpanDepth(), 0u);
-    EXPECT_EQ(tracer.eventCount(), 2u * kThreads);
+    std::ostringstream os;
+    tracer.writeChromeTrace(os);
+    // Each thread closes its inner span before its outer one, so the
+    // events pair up per tid: one inner and one outer for every tid.
+    std::map<uint64_t, std::vector<ParsedEvent>> by_tid;
+    for (const ParsedEvent &e : parseTrace(os.str()))
+        by_tid[e.tid].push_back(e);
+    ASSERT_EQ(by_tid.size(), static_cast<size_t>(kThreads))
+        << "every thread must get its own tid";
+    for (const auto &[tid, events] : by_tid) {
+        ASSERT_EQ(events.size(), 2u) << "tid " << tid;
+        const auto named = [&](const std::string &name) {
+            const auto it = std::find_if(
+                events.begin(), events.end(),
+                [&](const ParsedEvent &e) { return e.name == name; });
+            EXPECT_NE(it, events.end()) << name << " on tid " << tid;
+            return it == events.end() ? ParsedEvent{} : *it;
+        };
+        const ParsedEvent outer = named("test/thread_outer");
+        const ParsedEvent inner = named("test/thread_inner");
+        EXPECT_LE(outer.ts, inner.ts) << "tid " << tid;
+        EXPECT_LE(inner.end(), outer.end()) << "tid " << tid;
+    }
 }
 
 TEST_F(Trace, HostileSpanAndCounterNamesStayValidJson)
@@ -231,7 +239,7 @@ TEST_F(Trace, HostileSpanAndCounterNamesStayValidJson)
     const std::string hostile =
         "test/\"quote\\back\\\\slash\nnewline\ttab\x01" "ctl";
     {
-        ScopedSpan span(hostile.c_str(), true);
+        ScopedPhase span(hostile.c_str());
     }
     tracer.addCounterTrack(hostile + "/counter", {1.0, 2.0, 3.0});
 
@@ -265,7 +273,7 @@ TEST_F(Trace, ClearDropsRecordedEvents)
     auto &tracer = SpanTracer::instance();
     tracer.setEnabled(true);
     {
-        CARBONX_SPAN("test/cleared");
+        CARBONX_PROFILE("test/cleared");
     }
     ASSERT_EQ(tracer.eventCount(), 1u);
     tracer.clear();

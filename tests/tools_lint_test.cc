@@ -280,6 +280,52 @@ TEST(LintProfilePhase, FlagsDuplicateDynamicAndEmptyNames)
     EXPECT_NE(diags[2].message.find("empty"), std::string::npos);
 }
 
+TEST(LintProfilePhase, AcceptsLiteralFollowedByHistogram)
+{
+    const auto diags = lintSource(
+        "src/grid/x.cc",
+        "CARBONX_PROFILE(\"grid/synthesize\", &h_synth);\n"
+        "CARBONX_PROFILE(\"grid/other\");\n");
+    EXPECT_EQ(countRule(diags, lint::kRuleProfilePhase), 0u);
+    const auto uses = lint::collectProfilePhases(
+        "CARBONX_PROFILE(\"grid/synthesize\", &h_synth);\n");
+    ASSERT_EQ(uses.size(), 1u);
+    EXPECT_TRUE(uses[0].is_literal);
+    EXPECT_EQ(uses[0].name, "grid/synthesize");
+}
+
+TEST(LintProfilePhase, FlagsDynamicNameWithHistogram)
+{
+    const auto diags = lintSource("src/grid/x.cc",
+                                  "CARBONX_PROFILE(name, &h);\n");
+    ASSERT_EQ(countRule(diags, lint::kRuleProfilePhase), 1u);
+    EXPECT_NE(diags[0].message.find("string literal"),
+              std::string::npos);
+}
+
+TEST(LintProfilePhase, FlagsDuplicateAcrossOneAndTwoArgumentForms)
+{
+    const auto diags = lintSource(
+        "src/grid/x.cc",
+        "CARBONX_PROFILE(\"grid/synthesize\");\n"
+        "CARBONX_PROFILE(\"grid/synthesize\", &h_synth);\n");
+    ASSERT_EQ(countRule(diags, lint::kRuleProfilePhase), 1u);
+    EXPECT_EQ(diags[0].line, 2u);
+    EXPECT_NE(diags[0].message.find("duplicate"), std::string::npos);
+
+    using lint::PhaseUse;
+    std::vector<std::pair<std::string, std::vector<PhaseUse>>> per_file;
+    per_file.emplace_back(
+        "src/grid/a.cc",
+        lint::collectProfilePhases("CARBONX_PROFILE(\"x/phase\");\n"));
+    per_file.emplace_back("src/grid/b.cc",
+                          lint::collectProfilePhases(
+                              "CARBONX_PROFILE(\"x/phase\", &h);\n"));
+    const auto cross = lint::crossFilePhaseDuplicates(per_file);
+    ASSERT_EQ(cross.size(), 1u);
+    EXPECT_EQ(cross[0].file, "src/grid/b.cc");
+}
+
 TEST(LintProfilePhase, CleanUsageMacroDefinitionAndCommentsPass)
 {
     // Unique literals are fine; the macro's own #define (with its
@@ -288,9 +334,9 @@ TEST(LintProfilePhase, CleanUsageMacroDefinitionAndCommentsPass)
     const std::string src =
         std::string(kGuard) +
         "#define CARBONX_PROFILE_CONCAT2(a, b) a##b\n"
-        "#define CARBONX_PROFILE(name)                            \\\n"
+        "#define CARBONX_PROFILE(...)                             \\\n"
         "    ::carbonx::obs::ScopedPhase CARBONX_PROFILE_CONCAT(  \\\n"
-        "        carbonx_phase_, __LINE__)(name)\n"
+        "        carbonx_phase_, __LINE__)(__VA_ARGS__)\n"
         "// CARBONX_PROFILE(\"in/a/comment\");\n"
         "inline void f()\n"
         "{\n"

@@ -70,8 +70,9 @@ ruleTable()
          "src/scheduler and src/obs; consumers read",
          &rules::checkRecorderWrite},
         {kRuleProfilePhase, Severity::Error,
-         "CARBONX_PROFILE phase names must be single same-line "
-         "string literals, non-empty and unique",
+         "CARBONX_PROFILE phase names (the first argument, before an "
+         "optional histogram) must be single same-line string "
+         "literals, non-empty and unique",
          &rules::checkProfilePhase},
         {kRuleHotPathAlloc, Severity::Error,
          "no new / std::string construction / un-reserved growth "

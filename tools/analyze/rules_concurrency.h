@@ -199,7 +199,7 @@ checkConcurrency(const FileContext &ctx, std::vector<Diagnostic> &out)
             ctx.report(out, t.line, kRuleConcurrency,
                        Severity::Error,
                        "'" + recv + "." + t.text +
-                           "' defaults to seq_cst; the hot-counter "
+                           "' defaults to seq_cst; the counter "
                            "convention is an explicit memory order "
                            "(usually memory_order_relaxed)");
         }

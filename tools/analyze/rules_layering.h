@@ -4,7 +4,7 @@
  *
  * The library's layering has so far been folklore plus link errors:
  * common depends on nothing internal (it must stay usable from every
- * layer without cycles — the hot-counter registry exists precisely
+ * layer without cycles — the counter store lives there precisely
  * because common cannot see obs), obs sees only common, the domain
  * layers sit in the middle, and core — the explorer — may see
  * everything. This rule reads the quoted #include directives from

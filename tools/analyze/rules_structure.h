@@ -7,9 +7,11 @@
  *   recorder-field-write  HourlyRecord flight-recording fields are
  *                         written only by src/scheduler + src/obs;
  *   profile-phase         CARBONX_PROFILE phase names must be single
- *                         same-line string literals, non-empty, and
- *                         unique (in-file here; tree-wide via
- *                         crossFilePhaseDuplicates in the driver).
+ *                         same-line string literals (the first
+ *                         argument, optionally followed by a
+ *                         histogram), non-empty, and unique (in-file
+ *                         here; tree-wide via crossFilePhaseDuplicates
+ *                         in the driver).
  */
 
 #ifndef CARBONX_TOOLS_ANALYZE_RULES_STRUCTURE_H
@@ -35,7 +37,10 @@ struct PhaseUse
     /** Literal contents; only meaningful when is_literal is set. */
     std::string name;
     size_t line = 0; ///< 1-based.
-    /** True when the argument is a single same-line string literal. */
+    /**
+     * True when the first argument is a single same-line string
+     * literal, followed by `)` or by `,` and a histogram argument.
+     */
     bool is_literal = false;
 };
 
@@ -72,7 +77,7 @@ collectProfilePhases(const std::string &source)
             toks[i + 2].kind == lex::TokKind::String &&
             toks[i + 2].line == use.line &&
             toks[i + 3].kind == lex::TokKind::Punct &&
-            toks[i + 3].text == ")") {
+            (toks[i + 3].text == ")" || toks[i + 3].text == ",")) {
             use.is_literal = true;
             use.name = toks[i + 2].text;
         }
@@ -219,8 +224,9 @@ checkProfilePhase(const FileContext &ctx,
         if (!use.is_literal) {
             ctx.report(out, use.line, kRuleProfilePhase,
                        Severity::Error,
-                       "CARBONX_PROFILE argument must be a single "
-                       "string literal on the call line");
+                       "CARBONX_PROFILE name must be a single string "
+                       "literal on the call line, followed by ')' or "
+                       "', &histogram'");
             continue;
         }
         if (use.name.empty()) {

@@ -13,7 +13,7 @@
 #include <iostream>
 #include <vector>
 
-#include "battery/clc_battery.h"
+#include "battery/chemistry.h"
 #include "common/parallel.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -419,24 +419,6 @@ BM_AdaptiveSweepWarmCache(benchmark::State &state)
 BENCHMARK(BM_AdaptiveSweepWarmCache)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-void
-BM_BatteryYearOfHourlySteps(benchmark::State &state)
-{
-    ClcBattery battery(MegaWattHours(100.0),
-                       BatteryChemistry::lithiumIronPhosphate());
-    for (auto _ : state) {
-        battery.reset();
-        for (int h = 0; h < 8784; ++h) {
-            if (h % 2 == 0)
-                battery.charge(MegaWatts(60.0), Hours(1.0));
-            else
-                battery.discharge(MegaWatts(60.0), Hours(1.0));
-        }
-        benchmark::DoNotOptimize(battery.fullEquivalentCycles());
-    }
-}
-BENCHMARK(BM_BatteryYearOfHourlySteps);
 
 // Harness-level guard on the recorder's zero-overhead contract:
 // median wall time of the battery+CAS one-lane year with a null

@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "battery/clc_battery.h"
 #include "carbon/operational.h"
 #include "common/table.h"
 #include "core/explorer.h"

@@ -4,9 +4,25 @@
  *
  * The paper models Lithium Iron Phosphate (LFP) cells: high cycle
  * life, 1C charge/discharge, manufacturing footprint of 74-134 kg
- * CO2eq per kWh of capacity. The chemistry abstraction also carries
- * NMC and sodium-ion presets so alternative technologies can be
- * explored through the same API.
+ * CO2eq per kWh of capacity. NMC, sodium-ion and an ideal (lossless,
+ * rate-unlimited) preset sit beside it.
+ *
+ * A chemistry is the whole battery model. Stage 2 of the simulation
+ * kernel (scheduler/batched_engine.cc) applies the C/L/C rules
+ * (Kazhamiaka, Rosenberg & Keshav, Energy Informatics 2019) to these
+ * parameters every hour:
+ *   - charging accepts min(offer, C-rate x capacity,
+ *     headroom / eta_c) and stores eta_c of it;
+ *   - discharging delivers min(request, C-rate x capacity,
+ *     (content - floor) x eta_d) and draws 1 / eta_d of it;
+ *   - content stays in [floor, capacity], floor = (1 - DoD) x
+ *     capacity, and a battery starts at the floor unless its lane
+ *     sets an initial SoC.
+ *
+ * A new storage technology is a new preset here: efficiencies,
+ * C-rates, DoD, embodied footprint and cycle-life curve. Add its name
+ * to chemistryByName (scenario/scenario.h) for scenarios to select
+ * it. SimulationBatch::addLane validates the ranges.
  */
 
 #ifndef CARBONX_BATTERY_CHEMISTRY_H
@@ -100,9 +116,8 @@ struct BatteryChemistry
 
     /**
      * Ideal storage: lossless, unbounded C-rates, full DoD — the
-     * upper-bound baseline for ablations against the physical presets
-     * (IdealBattery's behaviour as a chemistry). Life-cycle figures
-     * are LFP's.
+     * upper-bound baseline for ablations against the physical
+     * presets. Life-cycle figures are LFP's.
      */
     static BatteryChemistry ideal();
 };

@@ -47,11 +47,8 @@
 #include "datacenter/workload.h"
 
 // Energy storage.
-#include "battery/battery_model.h"
 #include "battery/battery_stats.h"
 #include "battery/chemistry.h"
-#include "battery/clc_battery.h"
-#include "battery/ideal_battery.h"
 
 // Scheduling and simulation.
 #include "scheduler/batched_engine.h"

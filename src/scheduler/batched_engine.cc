@@ -152,9 +152,11 @@ BatchedSimulationEngine::run(SimulationBatch &batch,
     uint64_t charge_calls = 0;
     uint64_t discharge_calls = 0;
 
-    // ClcBattery::charge inlined on lane state: same operands, same
-    // operation order, with the rate cap and DoD floor pre-derived
-    // (deterministic products of the same inputs).
+    // The C/L/C battery step on lane state (battery/chemistry.h).
+    // Charging accepts the offer up to the rate cap (C-rate x
+    // capacity, pre-derived in addLane) and the headroom cap
+    // (headroom / (eta_c * dt)); content grows by accepted * dt *
+    // eta_c, clamped at capacity.
     const auto chargeLane = [&](size_t l, double offered) {
         ++charge_calls;
         if (b_cap[l] <= 0.0 || offered <= 0.0)
@@ -169,7 +171,10 @@ BatchedSimulationEngine::run(SimulationBatch &batch,
         return accepted;
     };
 
-    // ClcBattery::discharge inlined likewise.
+    // Discharging delivers the request up to the rate cap and what
+    // lies above the DoD floor ((1 - DoD) x capacity, pre-derived)
+    // after losses; content shrinks by delivered * dt / eta_d,
+    // clamped at the floor.
     const auto dischargeLane = [&](size_t l, double requested) {
         ++discharge_calls;
         if (b_cap[l] <= 0.0 || requested <= 0.0)

@@ -23,8 +23,9 @@
  *     the auto-vectorizable part (each lane is independent, so SIMD
  *     lanes never mix operands across design points and the values
  *     are bit-identical to one-lane evaluation order).
- *  2. A per-lane scheduling/battery step, with ClcBattery's
- *     charge/discharge math inlined on the batch's SoA state.
+ *  2. A per-lane scheduling/battery step. The battery step is the
+ *     C/L/C model (battery/chemistry.h) on the batch's SoA state;
+ *     this is the library's only copy of the battery physics.
  *
  * Lane independence: a lane's aggregates do not depend on the batch
  * it shares or its position in it, on whether a flight recorder is

@@ -111,11 +111,10 @@ SimulationBatch::addLane(const BatchLaneConfig &lane)
         failLane("grid-charge threshold must be >= 0");
 
     if (lane.chemistry != nullptr) {
-        // Mirror the ClcBattery constructor checks, then pre-derive
-        // the per-call quantities it recomputes (rate caps, DoD
-        // floor, usable capacity, initial content). All are single
-        // deterministic products of the same operands, so the kernel
-        // reproduces ClcBattery bit for bit.
+        // Validate the chemistry, then pre-derive the C/L/C
+        // quantities the kernel reads every hour: rate caps (C-rate x
+        // capacity), DoD floor ((1 - DoD) x capacity), usable
+        // capacity (DoD x capacity) and initial content.
         const BatteryChemistry &chem = *lane.chemistry;
         if (lane.battery_capacity_mwh.value() < 0.0)
             failLane("battery capacity must be >= 0");

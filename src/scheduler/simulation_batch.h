@@ -21,8 +21,7 @@
  * All validation happens in addLane (cheap, once per lane); the
  * hourly loop itself never allocates or throws. Battery parameters
  * are pre-derived here (rate caps, DoD floor, usable capacity) so the
- * kernel's charge/discharge steps are straight-line arithmetic that
- * reproduces ClcBattery bit for bit.
+ * kernel's C/L/C charge/discharge steps are straight-line arithmetic.
  */
 
 #ifndef CARBONX_SCHEDULER_SIMULATION_BATCH_H
@@ -128,7 +127,7 @@ struct BatchLaneConfig
     /** Battery chemistry; null means "no battery attached". Non-owning. */
     const BatteryChemistry *chemistry = nullptr;
 
-    /** Initial SoC; negative picks the DoD floor (ClcBattery default). */
+    /** Initial SoC; negative picks the DoD floor. */
     double initial_soc = -1.0;
 
     /** Grid-charging policy; Never reproduces the paper. */
@@ -215,9 +214,9 @@ class SimulationBatch
     std::vector<unsigned char> grid_charging_;
     std::vector<double> grid_threshold_;
 
-    // Battery parameters, pre-derived from the chemistry exactly as
-    // ClcBattery computes them per call (deterministic products, so
-    // precomputing is bit-identical).
+    // Battery parameters, pre-derived from the chemistry once per
+    // lane (single deterministic products, so the kernel never
+    // recomputes them per hour).
     std::vector<unsigned char> has_battery_;
     std::vector<double> bat_capacity_;      ///< Nameplate (MWh).
     std::vector<double> bat_initial_;       ///< Initial content (MWh).

@@ -3,10 +3,9 @@
  * Determinism contract of the parallel design-space sweep: optimize(),
  * with or without refinement rounds, must produce bit-identical
  * results at any thread count, the allocation-free workspace paths
- * (supplyFor into a buffer, a reused one-lane batch,
- * ClcBattery::setCapacity) must match their allocating counterparts
- * exactly, and sweep progress must report monotone throttled
- * milestones ending at the total.
+ * (supplyFor into a buffer, a reused one-lane batch) must match their
+ * allocating counterparts exactly, and sweep progress must report
+ * monotone throttled milestones ending at the total.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,7 @@
 #include <mutex>
 #include <vector>
 
-#include "battery/clc_battery.h"
+#include "battery/chemistry.h"
 #include "common/parallel.h"
 #include "core/explorer.h"
 #include "obs/profiler.h"
@@ -230,26 +229,6 @@ TEST(ParallelSweep, RunIntoReusedResultMatchesAllocating)
         EXPECT_EQ(a.operational_kg.value(), b.operational_kg.value());
         EXPECT_TRUE(obs::bitIdentical(fresh_rec, reused_rec));
     }
-}
-
-TEST(ParallelSweep, SetCapacityMatchesFreshBattery)
-{
-    const BatteryChemistry chem =
-        BatteryChemistry::lithiumIronPhosphate();
-    ClcBattery reused(MegaWattHours(50.0), chem);
-    // Dirty the state, then re-purpose as a 120 MWh battery.
-    reused.charge(MegaWatts(20.0), Hours(1.0));
-    reused.discharge(MegaWatts(5.0), Hours(1.0));
-    reused.setCapacity(MegaWattHours(120.0));
-
-    const ClcBattery fresh(MegaWattHours(120.0), chem);
-    EXPECT_EQ(reused.capacityMwh().value(), fresh.capacityMwh().value());
-    EXPECT_EQ(reused.energyContentMwh().value(),
-              fresh.energyContentMwh().value());
-    EXPECT_EQ(reused.stateOfCharge().value(),
-              fresh.stateOfCharge().value());
-    EXPECT_EQ(reused.totalChargedMwh(), fresh.totalChargedMwh());
-    EXPECT_EQ(reused.totalDischargedMwh(), fresh.totalDischargedMwh());
 }
 
 TEST(ParallelSweep, ProgressMilestonesAreMonotoneAndEndAtTotal)

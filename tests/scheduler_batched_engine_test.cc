@@ -626,6 +626,34 @@ TEST(BatchedEngine, ValidationMatchesScalarContracts)
     orphan_battery.battery_capacity_mwh = MegaWattHours(10.0);
     EXPECT_THROW(batch.addLane(orphan_battery), UserError);
 
+    // The battery: each chemistry range, the capacity, and the
+    // initial SoC's place in the DoD window.
+    const auto withBattery = [&lane](const BatteryChemistry &chem,
+                                      double mwh, double soc) {
+        BatchLaneConfig l = lane;
+        l.chemistry = &chem;
+        l.battery_capacity_mwh = MegaWattHours(mwh);
+        l.initial_soc = soc;
+        return l;
+    };
+    BatteryChemistry bad = lfp;
+    bad.charge_efficiency = 1.1;
+    EXPECT_THROW(batch.addLane(withBattery(bad, 10.0, -1.0)), UserError);
+    bad = lfp;
+    bad.discharge_efficiency = 0.0;
+    EXPECT_THROW(batch.addLane(withBattery(bad, 10.0, -1.0)), UserError);
+    bad = lfp;
+    bad.max_charge_c_rate = 0.0;
+    EXPECT_THROW(batch.addLane(withBattery(bad, 10.0, -1.0)), UserError);
+    bad = lfp;
+    bad.depth_of_discharge = 1.5;
+    EXPECT_THROW(batch.addLane(withBattery(bad, 10.0, -1.0)), UserError);
+    EXPECT_THROW(batch.addLane(withBattery(lfp, -1.0, -1.0)), UserError);
+    bad = lfp;
+    bad.depth_of_discharge = 0.8;
+    EXPECT_THROW(batch.addLane(withBattery(bad, 10.0, 0.1)), UserError);
+    EXPECT_EQ(batch.size(), 0u);
+
     // Capacity cap below the load peak is an engine-side error.
     const BatchedSimulationEngine engine(t.load, t.solar_shape,
                                          t.wind_shape, &t.intensity);

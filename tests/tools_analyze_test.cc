@@ -261,6 +261,21 @@ TEST(LayeringTest, FlagsEdgeNotInDag)
               std::string::npos);
 }
 
+TEST(LayeringTest, BatteryMayNotSeeObs)
+{
+    // The battery layer holds chemistry presets and aging statistics
+    // only; the battery physics runs in the scheduler's kernel.
+    const std::string src = "#include \"common/units.h\"\n"
+                            "#include \"obs/metrics.h\"\n";
+    const auto diags = lintAs("src/battery/chemistry.cc", src);
+    ASSERT_EQ(countRule(diags, carbonx::lint::kRuleLayering), 1u);
+    const auto it = std::find_if(
+        diags.begin(), diags.end(), [](const Diagnostic &d) {
+            return d.rule == carbonx::lint::kRuleLayering;
+        });
+    EXPECT_NE(it->message.find("battery -> obs"), std::string::npos);
+}
+
 TEST(LayeringTest, AllowsDagEdgesAndSelfAndSystemIncludes)
 {
     const std::string src = "#include <vector>\n"

@@ -62,7 +62,7 @@ TEST(LintClassify, BoundaryAndConversionHomes)
     EXPECT_TRUE(classify("src/fleet/fleet_optimizer.h").unit_boundary);
     EXPECT_TRUE(classify("tools/carbonx_cli.cc").unit_boundary);
     EXPECT_FALSE(classify("src/core/explorer.cc").unit_boundary);
-    EXPECT_FALSE(classify("src/battery/clc_battery.cc").unit_boundary);
+    EXPECT_FALSE(classify("src/battery/chemistry.cc").unit_boundary);
     EXPECT_TRUE(classify("src/common/units.h").conversion_home);
     EXPECT_TRUE(classify("src/timeseries/calendar.cc").conversion_home);
     EXPECT_FALSE(classify("src/timeseries/timeseries.cc").conversion_home);

@@ -23,8 +23,13 @@ TEST(Umbrella, CoreTypesComposable)
     const WorkloadMix mix = WorkloadMix::simpleFlexible(0.4);
     EXPECT_NEAR(mix.flexibleShare(24.0), 0.4, 1e-12);
 
-    ClcBattery battery(MegaWattHours(10.0), BatteryChemistry::lithiumIronPhosphate());
-    EXPECT_DOUBLE_EQ(battery.capacityMwh().value(), 10.0);
+    const BatteryChemistry lfp = BatteryChemistry::lithiumIronPhosphate();
+    BatchLaneConfig lane;
+    lane.chemistry = &lfp;
+    lane.battery_capacity_mwh = MegaWattHours(10.0);
+    SimulationBatch batch(1);
+    batch.addLane(lane);
+    EXPECT_EQ(batch.size(), 1u);
 
     const DesignPoint point{MegaWatts(10.0), MegaWatts(20.0),
                             MegaWattHours(30.0), Fraction(0.1)};

@@ -20,7 +20,7 @@
  *   datacenter -> common timeseries
  *   forecast   -> common timeseries
  *   grid       -> common obs timeseries
- *   battery    -> common obs
+ *   battery    -> common
  *   carbon     -> common timeseries datacenter battery
  *   scheduler  -> common obs timeseries datacenter battery
  *   fleet      -> common timeseries datacenter grid
@@ -64,7 +64,7 @@ allowedEdges()
         {"datacenter", {"common", "timeseries"}},
         {"forecast", {"common", "timeseries"}},
         {"grid", {"common", "obs", "timeseries"}},
-        {"battery", {"common", "obs"}},
+        {"battery", {"common"}},
         {"carbon", {"common", "timeseries", "datacenter", "battery"}},
         {"scheduler",
          {"common", "obs", "timeseries", "datacenter", "battery"}},

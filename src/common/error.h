@@ -61,6 +61,19 @@ require(bool condition, const std::string &msg)
 }
 
 /**
+ * require() for a literal message: the string is built only when the
+ * check fails, so a passing check never allocates. (A message built
+ * with `+` is materialized before the call either way; hot paths
+ * branch first and build it on the failure path.)
+ */
+inline void
+require(bool condition, const char *msg)
+{
+    if (!condition)
+        throw UserError(msg);
+}
+
+/**
  * Throw an InternalError unless @p condition holds.
  *
  * @param condition Invariant that the library guarantees.
@@ -68,6 +81,14 @@ require(bool condition, const std::string &msg)
  */
 inline void
 ensure(bool condition, const std::string &msg)
+{
+    if (!condition)
+        throw InternalError(msg);
+}
+
+/** ensure() for a literal message; allocates only on failure. */
+inline void
+ensure(bool condition, const char *msg)
 {
     if (!condition)
         throw InternalError(msg);

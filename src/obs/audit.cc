@@ -13,18 +13,42 @@ namespace carbonx::obs
 namespace
 {
 
-/** Fixed-format double for violation messages (6 significant-ish). */
-std::string
-fmt(double v)
-{
-    std::ostringstream os;
-    os.precision(6);
-    os << v;
-    return os.str();
-}
-
 /** Tag for whole-year checks in InvariantViolation::hour. */
 constexpr size_t kYearTotal = SIZE_MAX;
+
+/** Count one check; true when it failed and must be reported. */
+inline bool
+failed(AuditReport &report, bool ok)
+{
+    ++report.checks;
+    return !ok;
+}
+
+/**
+ * Failure path of every check: build the message and record the
+ * violation. Each '%' in @p text is replaced by the next of @p a, @p b,
+ * @p c, printed at precision 6. Kept out of line and cold so that a
+ * passing check costs one comparison: the audit loop branches first
+ * and never builds a string itself.
+ */
+[[gnu::cold, gnu::noinline]] void
+violate(AuditReport &report, size_t hour, const char *invariant,
+        double excess, const char *text, double a = 0.0, double b = 0.0,
+        double c = 0.0)
+{
+    const double values[] = {a, b, c};
+    size_t next = 0;
+    std::ostringstream os;
+    os.precision(6);
+    for (const char *p = text; *p != '\0'; ++p) {
+        if (*p == '%')
+            os << values[next++];
+        else
+            os << *p;
+    }
+    report.violations.push_back(
+        InvariantViolation{hour, invariant, os.str(), excess});
+}
 
 } // namespace
 
@@ -58,20 +82,9 @@ auditRecording(const FlightRecorder &recording,
     const size_t n = recording.hours();
     report.hours = n;
 
-    const auto violate = [&](size_t hour, const char *invariant,
-                             const std::string &message, double excess) {
-        report.violations.push_back(
-            InvariantViolation{hour, invariant, message, excess});
-    };
-    const auto check = [&](bool ok, size_t hour, const char *invariant,
-                           const std::string &message, double excess) {
-        ++report.checks;
-        if (!ok)
-            violate(hour, invariant, message, excess);
-    };
-
     double prev_backlog = 0.0;
     double carbon_sum = 0.0;
+    // carbonx-hot: a passing check is a comparison and a count.
     for (size_t h = 0; h < n; ++h) {
         const HourlyRecord r = recording.row(h);
 
@@ -82,44 +95,42 @@ auditRecording(const FlightRecorder &recording,
             r.renewable_used_mw + r.grid_mw + r.battery_discharge_mw;
         const double consumed = r.served_mw + r.battery_charge_mw;
         const double imbalance = std::fabs(supplied - consumed);
-        check(imbalance <= kAuditEnergyBalanceSlackMw, h,
-              "energy-balance",
-              "supplied " + fmt(supplied) + " MW != consumed " +
-                  fmt(consumed) + " MW",
-              imbalance - kAuditEnergyBalanceSlackMw);
+        if (failed(report, imbalance <= kAuditEnergyBalanceSlackMw))
+            violate(report, h, "energy-balance",
+                    imbalance - kAuditEnergyBalanceSlackMw,
+                    "supplied % MW != consumed % MW", supplied, consumed);
 
         // Storage bounds: stored energy within [0, capacity].
-        check(r.battery_energy_mwh >= -kAuditEnergySlackMwh, h,
-              "soc-bounds",
-              "battery content " + fmt(r.battery_energy_mwh) +
-                  " MWh below zero",
-              -r.battery_energy_mwh);
-        check(r.battery_energy_mwh <=
-                  context.battery_capacity_mwh + kAuditEnergySlackMwh,
-              h, "soc-bounds",
-              "battery content " + fmt(r.battery_energy_mwh) +
-                  " MWh exceeds capacity " +
-                  fmt(context.battery_capacity_mwh) + " MWh",
-              r.battery_energy_mwh - context.battery_capacity_mwh);
+        if (failed(report, r.battery_energy_mwh >= -kAuditEnergySlackMwh))
+            violate(report, h, "soc-bounds", -r.battery_energy_mwh,
+                    "battery content % MWh below zero",
+                    r.battery_energy_mwh);
+        if (failed(report, r.battery_energy_mwh <=
+                               context.battery_capacity_mwh +
+                                   kAuditEnergySlackMwh))
+            violate(report, h, "soc-bounds",
+                    r.battery_energy_mwh - context.battery_capacity_mwh,
+                    "battery content % MWh exceeds capacity % MWh",
+                    r.battery_energy_mwh, context.battery_capacity_mwh);
 
         // Physical capacity cap on served power.
-        check(r.served_mw <=
-                  context.capacity_cap_mw + kCapacityCapSlackMw,
-              h, "capacity-cap",
-              "served " + fmt(r.served_mw) + " MW exceeds cap " +
-                  fmt(context.capacity_cap_mw) + " MW",
-              r.served_mw - context.capacity_cap_mw);
+        if (failed(report, r.served_mw <= context.capacity_cap_mw +
+                                              kCapacityCapSlackMw))
+            violate(report, h, "capacity-cap",
+                    r.served_mw - context.capacity_cap_mw,
+                    "served % MW exceeds cap % MW", r.served_mw,
+                    context.capacity_cap_mw);
 
         // Curtailment accounting: what was not used was curtailed.
         const double curtail_gap = std::fabs(
             r.curtailed_mw - (r.renewable_mw - r.renewable_used_mw));
-        check(curtail_gap <= kAuditEnergyBalanceSlackMw &&
-                  r.curtailed_mw >= -kAuditEnergyBalanceSlackMw,
-              h, "curtailment",
-              "curtailed " + fmt(r.curtailed_mw) +
-                  " MW != renewable " + fmt(r.renewable_mw) +
-                  " - used " + fmt(r.renewable_used_mw),
-              curtail_gap - kAuditEnergyBalanceSlackMw);
+        if (failed(report,
+                   curtail_gap <= kAuditEnergyBalanceSlackMw &&
+                       r.curtailed_mw >= -kAuditEnergyBalanceSlackMw))
+            violate(report, h, "curtailment",
+                    curtail_gap - kAuditEnergyBalanceSlackMw,
+                    "curtailed % MW != renewable % - used %",
+                    r.curtailed_mw, r.renewable_mw, r.renewable_used_mw);
 
         // Backlog conservation: the deferred-work queue can only grow
         // by what was shifted in this hour and can only shrink by
@@ -130,17 +141,15 @@ auditRecording(const FlightRecorder &recording,
         // law is delta <= shifted (nothing appears from nowhere) and
         // backlog >= 0.
         const double delta = r.backlog_mwh - prev_backlog;
-        check(r.backlog_mwh >= -kAuditEnergySlackMwh, h,
-              "backlog-conservation",
-              "backlog " + fmt(r.backlog_mwh) + " MWh negative",
-              -r.backlog_mwh);
-        check(delta <= r.shifted_mwh + r.slo_violation_mwh +
-                           kAuditEnergySlackMwh,
-              h, "backlog-conservation",
-              "backlog grew " + fmt(delta) + " MWh but only " +
-                  fmt(r.shifted_mwh + r.slo_violation_mwh) +
-                  " MWh was shifted in",
-              delta - r.shifted_mwh - r.slo_violation_mwh);
+        const double shifted_in = r.shifted_mwh + r.slo_violation_mwh;
+        if (failed(report, r.backlog_mwh >= -kAuditEnergySlackMwh))
+            violate(report, h, "backlog-conservation", -r.backlog_mwh,
+                    "backlog % MWh negative", r.backlog_mwh);
+        if (failed(report, delta <= shifted_in + kAuditEnergySlackMwh))
+            violate(report, h, "backlog-conservation",
+                    delta - r.shifted_mwh - r.slo_violation_mwh,
+                    "backlog grew % MWh but only % MWh was shifted in",
+                    delta, shifted_in);
         prev_backlog = r.backlog_mwh;
 
         // Column sanity: flows are non-negative by construction.
@@ -150,8 +159,9 @@ auditRecording(const FlightRecorder &recording,
             r.grid_mw >= 0.0 && r.battery_charge_mw >= 0.0 &&
             r.battery_discharge_mw >= 0.0 && r.shifted_mwh >= 0.0 &&
             r.slo_violation_mwh >= 0.0 && r.grid_charge_mwh >= 0.0;
-        check(nonneg, h, "non-negative-flows",
-              "a flow column is negative", 0.0);
+        if (failed(report, nonneg))
+            violate(report, h, "non-negative-flows", 0.0,
+                    "a flow column is negative");
 
         carbon_sum += r.carbon_kg;
     }
@@ -162,12 +172,12 @@ auditRecording(const FlightRecorder &recording,
     if (n > 0) {
         const double residual_gap =
             std::fabs(prev_backlog - context.residual_backlog_mwh);
-        check(residual_gap <= kAuditEnergySlackMwh, kYearTotal,
-              "backlog-conservation",
-              "recorded year-end backlog " + fmt(prev_backlog) +
-                  " MWh != reported residual " +
-                  fmt(context.residual_backlog_mwh) + " MWh",
-              residual_gap - kAuditEnergySlackMwh);
+        if (failed(report, residual_gap <= kAuditEnergySlackMwh))
+            violate(report, kYearTotal, "backlog-conservation",
+                    residual_gap - kAuditEnergySlackMwh,
+                    "recorded year-end backlog % MWh != reported "
+                    "residual % MWh",
+                    prev_backlog, context.residual_backlog_mwh);
     }
 
     // Carbon reconciliation: every kilogram in the reported total
@@ -175,12 +185,12 @@ auditRecording(const FlightRecorder &recording,
     if (recording.hasCarbon()) {
         const double carbon_gap =
             std::fabs(carbon_sum - context.reported_operational_kg);
-        check(carbon_gap <= kAuditCarbonSlackKg, kYearTotal,
-              "carbon-reconciliation",
-              "cumulative hourly carbon " + fmt(carbon_sum) +
-                  " kg != reported operational total " +
-                  fmt(context.reported_operational_kg) + " kg",
-              carbon_gap - kAuditCarbonSlackKg);
+        if (failed(report, carbon_gap <= kAuditCarbonSlackKg))
+            violate(report, kYearTotal, "carbon-reconciliation",
+                    carbon_gap - kAuditCarbonSlackKg,
+                    "cumulative hourly carbon % kg != reported "
+                    "operational total % kg",
+                    carbon_sum, context.reported_operational_kg);
     }
 
     return report;

@@ -59,10 +59,9 @@ BatchedSimulationEngine::run(SimulationBatch &batch,
     const size_t n = dc_power_.size();
 
     // Engine-side lane validation (the batch validated everything it
-    // could without trace context in addLane). Branch-then-throw
-    // instead of require(): run() sits on the sweep's per-wave path
-    // and must not allocate on the success path, while require()
-    // builds its message string unconditionally.
+    // could without trace context in addLane). Branch-then-throw:
+    // run() sits on the sweep's per-wave path and must not allocate
+    // on the success path.
     for (size_t l = 0; l < m; ++l) {
         if (batch.cap_[l] < peak_mw_ - kCapacityCapSlackMw)
             throw UserError("capacity cap below the load peak");

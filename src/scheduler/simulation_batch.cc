@@ -11,10 +11,8 @@ namespace carbonx
 namespace
 {
 /**
- * require() materializes its std::string argument even when the
- * condition holds, which heap-allocates for any message past the SSO
- * limit. addLane sits on the sweep's wave-refill path, so its checks
- * branch first and build the message only on the failure path.
+ * addLane sits on the sweep's wave-refill path, so its checks branch
+ * first and build the message only on the failure path, out of line.
  */
 [[noreturn]] void
 failLane(const char *msg)

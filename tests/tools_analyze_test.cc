@@ -119,6 +119,22 @@ TEST(HotPathAllocTest, WaiverSuppressesFinding)
     EXPECT_EQ(countRule(diags, carbonx::lint::kRuleHotPathAlloc), 0u);
 }
 
+TEST(HotPathAllocTest, AnnotatedLoopBodyIsHot)
+{
+    // The for-header's ';' must not end the annotation's reach: the
+    // loop body is the hot region, the code after it is not.
+    const std::string src = "void f(int n) {\n"
+                            "    // carbonx-hot: per-hour loop\n"
+                            "    for (int h = 0; h < n; ++h) {\n"
+                            "        std::string s;\n"
+                            "    }\n"
+                            "    std::string after;\n"
+                            "}\n";
+    const auto diags = lintAs("src/core/loop.cc", src);
+    ASSERT_EQ(countRule(diags, carbonx::lint::kRuleHotPathAlloc), 1u);
+    EXPECT_EQ(diags[0].line, 4u);
+}
+
 TEST(HotPathAllocTest, ProseMentionOfMarkerIsNotAnAnnotation)
 {
     const std::string src =

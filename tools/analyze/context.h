@@ -379,24 +379,31 @@ findHotRegions(const lex::TokenStream &ts)
             addRegion(enclosing_open[i], toks[i + 2].text);
     }
 
-    // `// carbonx-hot` comment -> next '{' at or after its end line.
-    // The marker must LEAD the comment: prose that merely mentions
-    // carbonx-hot (docs, this very file) is not an annotation.
+    // `// carbonx-hot` comment -> next '{' at or after its end line:
+    // a function body or a loop body. The marker must LEAD the
+    // comment: prose that merely mentions carbonx-hot (docs, this
+    // very file) is not an annotation.
     for (const lex::Comment &comment : ts.comments) {
         const size_t at = comment.text.find_first_not_of(" \t");
         if (at == std::string::npos ||
             comment.text.compare(at, 11, "carbonx-hot") != 0)
             continue;
+        int paren_depth = 0; // A for-header's ';' is not a statement end.
         for (size_t i = 0; i < toks.size(); ++i) {
             if (toks[i].line < comment.end_line)
                 continue;
-            if (toks[i].kind == lex::TokKind::Punct &&
-                toks[i].text == "{") {
+            if (toks[i].kind != lex::TokKind::Punct)
+                continue;
+            if (toks[i].text == "{") {
                 addRegion(i, "carbonx-hot");
                 break;
             }
-            if (toks[i].kind == lex::TokKind::Punct &&
-                (toks[i].text == "}" || toks[i].text == ";") &&
+            if (toks[i].text == "(")
+                ++paren_depth;
+            else if (toks[i].text == ")")
+                --paren_depth;
+            if ((toks[i].text == "}" ||
+                 (toks[i].text == ";" && paren_depth == 0)) &&
                 toks[i].line > comment.end_line) {
                 break; // Annotation does not precede a definition.
             }

@@ -2,30 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 #include "common/tolerances.h"
+#include "timeseries/calendar.h"
 
 namespace carbonx
 {
 
 CoverageAnalyzer::CoverageAnalyzer(const TimeSeries &dc_power,
-                                   const TimeSeries &solar_shape,
-                                   const TimeSeries &wind_shape)
-    : dc_power_(dc_power), solar_shape_(solar_shape),
-      wind_shape_(wind_shape), dc_avg_day_(dc_power.averageDayExpansion()),
-      solar_avg_day_(solar_shape.averageDayExpansion()),
-      wind_avg_day_(wind_shape.averageDayExpansion()),
+                                   TimeSeries solar_shape,
+                                   TimeSeries wind_shape)
+    : dc_power_(dc_power), solar_shape_(std::move(solar_shape)),
+      wind_shape_(std::move(wind_shape)),
+      dc_avg_day_(dc_power.averageDayProfile()),
+      solar_avg_day_(solar_shape_.averageDayProfile()),
+      wind_avg_day_(wind_shape_.averageDayProfile()),
       dc_total_(dc_power.total())
 {
-    require(dc_power.year() == solar_shape.year() &&
-                dc_power.year() == wind_shape.year(),
+    require(dc_power.year() == solar_shape_.year() &&
+                dc_power.year() == wind_shape_.year(),
             "coverage series must cover the same year");
-    require(solar_shape.max() <= 1.0 + kUnitIntervalSlack &&
-                solar_shape.min() >= 0.0,
+    require(solar_shape_.max() <= 1.0 + kUnitIntervalSlack &&
+                solar_shape_.min() >= 0.0,
             "solar shape must be per-unit in [0, 1]");
-    require(wind_shape.max() <= 1.0 + kUnitIntervalSlack &&
-                wind_shape.min() >= 0.0,
+    require(wind_shape_.max() <= 1.0 + kUnitIntervalSlack &&
+                wind_shape_.min() >= 0.0,
             "wind shape must be per-unit in [0, 1]");
     require(dc_total_ > 0.0, "datacenter load must be non-zero");
 }
@@ -74,19 +77,18 @@ double
 CoverageAnalyzer::coverageAssumingAverageDay(MegaWatts solar_mw,
                                              MegaWatts wind_mw) const
 {
-    // Replace both supply shapes and demand with their average-day
-    // expansions: this is the optimistic assumption of Fig. 8. The
-    // expansions only depend on the shapes, so they are cached at
-    // construction instead of being recomputed per call.
-    const TimeSeries &solar_avg = solar_avg_day_;
-    const TimeSeries &wind_avg = wind_avg_day_;
+    // Replace both supply shapes and demand with their average days,
+    // repeated every day of the year: this is the optimistic
+    // assumption of Fig. 8. The 24-hour profiles only depend on the
+    // shapes, so they are computed once at construction.
     const double solar = solar_mw.value();
     const double wind = wind_mw.value();
     double unmet = 0.0;
     for (size_t h = 0; h < dc_power_.size(); ++h) {
+        const size_t hod = h % kHoursPerDay;
         const double supply =
-            solar_avg[h] * solar + wind_avg[h] * wind;
-        unmet += std::max(dc_avg_day_[h] - supply, 0.0);
+            solar_avg_day_[hod] * solar + wind_avg_day_[hod] * wind;
+        unmet += std::max(dc_avg_day_[hod] - supply, 0.0);
     }
     return (1.0 - unmet / dc_total_) * 100.0;
 }

@@ -17,6 +17,8 @@
 #ifndef CARBONX_CORE_COVERAGE_H
 #define CARBONX_CORE_COVERAGE_H
 
+#include <array>
+
 #include "common/units.h"
 #include "core/design_point.h"
 #include "timeseries/timeseries.h"
@@ -34,10 +36,12 @@ class CoverageAnalyzer
      *        solar generation rescaled to annual max 1.0. All-zero if
      *        the grid has no solar.
      * @param wind_shape Per-unit wind shape, likewise.
+     *
+     * The shapes are taken by value; pass rvalues to hand them over
+     * without a copy.
      */
-    CoverageAnalyzer(const TimeSeries &dc_power,
-                     const TimeSeries &solar_shape,
-                     const TimeSeries &wind_shape);
+    CoverageAnalyzer(const TimeSeries &dc_power, TimeSeries solar_shape,
+                     TimeSeries wind_shape);
 
     /** Hourly renewable supply for an investment pair (MW). */
     TimeSeries supplyFor(MegaWatts solar_mw, MegaWatts wind_mw) const;
@@ -86,9 +90,10 @@ class CoverageAnalyzer
     TimeSeries dc_power_;
     TimeSeries solar_shape_;
     TimeSeries wind_shape_;
-    TimeSeries dc_avg_day_;
-    TimeSeries solar_avg_day_;
-    TimeSeries wind_avg_day_;
+    /** Average days (24 hours each) for coverageAssumingAverageDay. */
+    std::array<double, 24> dc_avg_day_;
+    std::array<double, 24> solar_avg_day_;
+    std::array<double, 24> wind_avg_day_;
     double dc_total_;
 };
 

@@ -102,9 +102,9 @@ ExternalTraces::fromCsv(const std::string &path, int year)
 CarbonExplorer::CarbonExplorer(ExplorerConfig config)
     : config_(std::move(config)), grid_trace_(makeGridTrace(config_)),
       load_trace_(makeLoadTrace(config_)),
-      solar_shape_(perUnitShape(grid_trace_.solar_potential)),
-      wind_shape_(perUnitShape(grid_trace_.wind_potential)),
-      coverage_(load_trace_.power, solar_shape_, wind_shape_),
+      coverage_(load_trace_.power,
+                perUnitShape(grid_trace_.solar_potential),
+                perUnitShape(grid_trace_.wind_potential)),
       embodied_(config_.renewable_embodied, config_.server_spec),
       peak_power_mw_(load_trace_.power.max())
 {
@@ -117,8 +117,7 @@ CarbonExplorer::CarbonExplorer(ExplorerConfig config,
                                const ExternalTraces &traces)
     : config_(std::move(config)), grid_trace_(traceFromExternal(traces)),
       load_trace_(loadFromExternal(traces)),
-      solar_shape_(traces.solar_shape), wind_shape_(traces.wind_shape),
-      coverage_(load_trace_.power, solar_shape_, wind_shape_),
+      coverage_(load_trace_.power, traces.solar_shape, traces.wind_shape),
       embodied_(config_.renewable_embodied, config_.server_spec),
       peak_power_mw_(load_trace_.power.max())
 {
@@ -212,8 +211,8 @@ CarbonExplorer::configDigest(Strategy strategy) const
     };
     fold(load_trace_.power);
     fold(grid_trace_.intensity);
-    fold(solar_shape_);
-    fold(wind_shape_);
+    fold(coverage_.solarShape());
+    fold(coverage_.windShape());
     return digest;
 }
 
@@ -250,8 +249,9 @@ BatchLaneResult
 CarbonExplorer::runLane(const BatchLaneConfig &lane,
                         obs::FlightRecorder *recorder) const
 {
-    const BatchedSimulationEngine engine(load_trace_.power, solar_shape_,
-                                         wind_shape_,
+    const BatchedSimulationEngine engine(load_trace_.power,
+                                         coverage_.solarShape(),
+                                         coverage_.windShape(),
                                          &grid_trace_.intensity);
     SimulationBatch batch(1);
     batch.addLane(lane);
@@ -275,9 +275,9 @@ CarbonExplorer::evaluationFrom(const DesignPoint &point, Strategy strategy,
     // charged (its PPA share, split pro-rata between solar and wind);
     // under WholeFarm the full generation is charged.
     const MegaWattHours solar_gen_mwh(
-        solar_shape_.total() * point.solar_mw.value());
+        coverage_.solarShape().total() * point.solar_mw.value());
     const MegaWattHours wind_gen_mwh(
-        wind_shape_.total() * point.wind_mw.value());
+        coverage_.windShape().total() * point.wind_mw.value());
     double solar_attr = solar_gen_mwh.value();
     double wind_attr = wind_gen_mwh.value();
     if (config_.attribution == RenewableAttribution::ConsumedEnergy) {
@@ -438,8 +438,8 @@ SweepBatchEvaluator::SweepBatchEvaluator(const CarbonExplorer &explorer,
     // the kernel accumulates per-lane operational carbon inline.
     const size_t worker_ids = std::max<size_t>(threadCount(), 1);
     workspaces_ = std::make_unique<Workspaces>(
-        explorer_.load_trace_.power, explorer_.solar_shape_,
-        explorer_.wind_shape_, &explorer_.grid_trace_.intensity,
+        explorer_.load_trace_.power, explorer_.coverage_.solarShape(),
+        explorer_.coverage_.windShape(), &explorer_.grid_trace_.intensity,
         worker_ids);
 }
 

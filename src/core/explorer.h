@@ -484,8 +484,7 @@ class CarbonExplorer
     ExplorerConfig config_;
     GridTrace grid_trace_;
     LoadTrace load_trace_;
-    TimeSeries solar_shape_;
-    TimeSeries wind_shape_;
+    /** Also holds the per-unit solar/wind shapes (one copy each). */
     CoverageAnalyzer coverage_;
     EmbodiedCarbonModel embodied_;
     MegaWatts peak_power_mw_;

@@ -8,14 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -23,120 +20,7 @@
 #include "common/fnv.h"
 #include "obs/journal.h"
 
-// ---------------------------------------------------------------------------
-// Counting operator new/delete. Each test file is its own executable,
-// so the global replacement here is confined to this binary. The
-// replacements forward to malloc and only bump a counter while a
-// measurement window is open.
-// ---------------------------------------------------------------------------
-
-namespace
-{
-std::atomic<std::uint64_t> g_allocation_count{0};
-std::atomic<bool> g_count_allocations{false};
-
-void
-noteAllocation()
-{
-    if (g_count_allocations.load(std::memory_order_relaxed))
-        g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-}
-
-void *
-countedAlloc(std::size_t size)
-{
-    noteAllocation();
-    void *p = std::malloc(size ? size : 1);
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-countedAlignedAlloc(std::size_t size, std::size_t align)
-{
-    noteAllocation();
-    if (align < sizeof(void *))
-        align = sizeof(void *);
-    void *p = nullptr;
-    if (posix_memalign(&p, align, size ? size : 1) != 0)
-        throw std::bad_alloc();
-    return p;
-}
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    return countedAlloc(size);
-}
-void *
-operator new[](std::size_t size)
-{
-    return countedAlloc(size);
-}
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    noteAllocation();
-    return std::malloc(size ? size : 1);
-}
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    noteAllocation();
-    return std::malloc(size ? size : 1);
-}
-void *
-operator new(std::size_t size, std::align_val_t align)
-{
-    return countedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void *
-operator new[](std::size_t size, std::align_val_t align)
-{
-    return countedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void
-operator delete(void *ptr) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete[](void *ptr) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete(void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete[](void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete(void *ptr, const std::nothrow_t &) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete[](void *ptr, const std::nothrow_t &) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete(void *ptr, std::align_val_t) noexcept
-{
-    std::free(ptr);
-}
-void
-operator delete[](void *ptr, std::align_val_t) noexcept
-{
-    std::free(ptr);
-}
+#include "counting_new.h"
 
 namespace carbonx
 {

@@ -18,9 +18,9 @@
 #include "common/table.h"
 #include "common/units.h"
 
-// Observability: metrics, tracing, sweep progress.
+// Observability: metrics, tracing, live sweep status.
 #include "obs/metrics.h"
-#include "obs/progress.h"
+#include "obs/status.h"
 #include "obs/trace.h"
 
 // Time series.

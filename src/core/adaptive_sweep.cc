@@ -189,8 +189,7 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
     static auto &c_inflated = obs::counter("sweep.margin_inflations");
     c_sweeps.increment();
     obs::DecisionJournal *journal = explorer_.journal();
-    if (explorer_.runStatus() != nullptr)
-        explorer_.runStatus()->setPhase("adaptive sweep");
+    obs::RunStatus *status = explorer_.runStatus();
 
     // The same lattice the exhaustive pass enumerates, in the same
     // linear order: axes a strategy ignores collapse to {0}.
@@ -249,10 +248,11 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
 
     // Progress covers the whole adaptive run as one pass; the total
     // starts at the coarse count and grows as refinement discovers
-    // work (obs::SweepProgressEmitter::growTotal).
-    obs::SweepProgressEmitter emitter(explorer_.progressCallback(),
-                                      pass, coarse_points.size(),
-                                      explorer_.progressUpdates());
+    // work (obs::RunStatus::growTotal).
+    if (status != nullptr) {
+        status->setPhase("adaptive sweep");
+        status->beginPass(pass, coarse_points.size());
+    }
 
     // Evaluate a sorted, unevaluated index list; scatter into evals.
     // @p ann, when non-null, annotates the journal rows of this wave
@@ -273,7 +273,7 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
             if (ann != nullptr)
                 evaluator.setPointAnnotations(ann);
             evaluator.evaluate(wave_points.data(), wave_points.size(),
-                               wave_out.data(), &emitter);
+                               wave_out.data(), status);
             for (size_t k = 0; k < ids.size(); ++k) {
                 evals[ids[k]] = std::move(wave_out[k]);
                 evaluated[ids[k]] = 1;
@@ -603,7 +603,8 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
         }
         std::sort(wave_ids.begin(), wave_ids.end());
 
-        emitter.growTotal(wave_ids.size());
+        if (status != nullptr)
+            status->growTotal(wave_ids.size());
         evaluateIndices(
             wave_ids,
             annotationsFor(wave_ids,
@@ -647,7 +648,8 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
             if (revived.empty())
                 break;
             std::sort(revived.begin(), revived.end());
-            emitter.growTotal(revived.size());
+            if (status != nullptr)
+                status->growTotal(revived.size());
             evaluateIndices(
                 revived,
                 annotationsFor(revived,
@@ -659,7 +661,8 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
             suspects = revived;
         }
     }
-    emitter.finish();
+    if (status != nullptr)
+        status->finishPass();
 
     // Assemble the result in lattice linear order — the exhaustive
     // sweep's evaluation order restricted to the evaluated subset.

@@ -135,7 +135,7 @@ struct AdaptiveSweepResult
 
 /**
  * The coarse-to-fine driver. Borrow an explorer (whose sweep cache
- * and progress callback are honored) and call sweep() per strategy.
+ * and run status are honored) and call sweep() per strategy.
  * Its tuning is fixed (coarse stride 2, margins of 0.1 of a cell's
  * corner spread plus 0.01 of the coarse pass's spread, 8 cells per
  * wave, Pareto frontier always preserved; see adaptive_sweep.cc).

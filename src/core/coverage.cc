@@ -11,18 +11,18 @@
 namespace carbonx
 {
 
-CoverageAnalyzer::CoverageAnalyzer(const TimeSeries &dc_power,
+CoverageAnalyzer::CoverageAnalyzer(TimeSeries dc_power,
                                    TimeSeries solar_shape,
                                    TimeSeries wind_shape)
-    : dc_power_(dc_power), solar_shape_(std::move(solar_shape)),
+    : dc_power_(std::move(dc_power)), solar_shape_(std::move(solar_shape)),
       wind_shape_(std::move(wind_shape)),
-      dc_avg_day_(dc_power.averageDayProfile()),
+      dc_avg_day_(dc_power_.averageDayProfile()),
       solar_avg_day_(solar_shape_.averageDayProfile()),
       wind_avg_day_(wind_shape_.averageDayProfile()),
-      dc_total_(dc_power.total())
+      dc_total_(dc_power_.total())
 {
-    require(dc_power.year() == solar_shape_.year() &&
-                dc_power.year() == wind_shape_.year(),
+    require(dc_power_.year() == solar_shape_.year() &&
+                dc_power_.year() == wind_shape_.year(),
             "coverage series must cover the same year");
     require(solar_shape_.max() <= 1.0 + kUnitIntervalSlack &&
                 solar_shape_.min() >= 0.0,

@@ -37,10 +37,10 @@ class CoverageAnalyzer
      *        the grid has no solar.
      * @param wind_shape Per-unit wind shape, likewise.
      *
-     * The shapes are taken by value; pass rvalues to hand them over
-     * without a copy.
+     * All three series are taken by value; pass rvalues to hand them
+     * over without a copy.
      */
-    CoverageAnalyzer(const TimeSeries &dc_power, TimeSeries solar_shape,
+    CoverageAnalyzer(TimeSeries dc_power, TimeSeries solar_shape,
                      TimeSeries wind_shape);
 
     /** Hourly renewable supply for an investment pair (MW). */

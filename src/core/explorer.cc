@@ -26,14 +26,14 @@ namespace carbonx
 namespace
 {
 
-/** Build the load trace for a config. */
-LoadTrace
-makeLoadTrace(const ExplorerConfig &config)
+/** Hourly datacenter power demand for a config (MW). */
+TimeSeries
+makeDcPower(const ExplorerConfig &config)
 {
     LoadModelParams params = config.load_params;
     params.avg_power_mw = config.avg_dc_power_mw.value();
     const DatacenterLoadModel model(params);
-    return model.generate(config.year, config.seed);
+    return model.generate(config.year, config.seed).power;
 }
 
 /** Build the grid trace for a config. */
@@ -54,16 +54,6 @@ traceFromExternal(const ExternalTraces &traces)
     trace.intensity = traces.intensity;
     trace.solar_potential = traces.solar_shape;
     trace.wind_potential = traces.wind_shape;
-    return trace;
-}
-
-/** Wrap an external load series in a LoadTrace. */
-LoadTrace
-loadFromExternal(const ExternalTraces &traces)
-{
-    LoadTrace trace(traces.dc_power.year());
-    trace.power = traces.dc_power;
-    trace.utilization = traces.dc_power.scaledToMax(1.0);
     return trace;
 }
 
@@ -101,12 +91,11 @@ ExternalTraces::fromCsv(const std::string &path, int year)
 
 CarbonExplorer::CarbonExplorer(ExplorerConfig config)
     : config_(std::move(config)), grid_trace_(makeGridTrace(config_)),
-      load_trace_(makeLoadTrace(config_)),
-      coverage_(load_trace_.power,
+      coverage_(makeDcPower(config_),
                 perUnitShape(grid_trace_.solar_potential),
                 perUnitShape(grid_trace_.wind_potential)),
       embodied_(config_.renewable_embodied, config_.server_spec),
-      peak_power_mw_(load_trace_.power.max())
+      peak_power_mw_(coverage_.dcPower().max())
 {
     require(config_.flexible_ratio.value() >= 0.0 &&
                 config_.flexible_ratio.value() <= 1.0,
@@ -116,10 +105,9 @@ CarbonExplorer::CarbonExplorer(ExplorerConfig config)
 CarbonExplorer::CarbonExplorer(ExplorerConfig config,
                                const ExternalTraces &traces)
     : config_(std::move(config)), grid_trace_(traceFromExternal(traces)),
-      load_trace_(loadFromExternal(traces)),
-      coverage_(load_trace_.power, traces.solar_shape, traces.wind_shape),
+      coverage_(traces.dc_power, traces.solar_shape, traces.wind_shape),
       embodied_(config_.renewable_embodied, config_.server_spec),
-      peak_power_mw_(load_trace_.power.max())
+      peak_power_mw_(coverage_.dcPower().max())
 {
     require(config_.flexible_ratio.value() >= 0.0 &&
                 config_.flexible_ratio.value() <= 1.0,
@@ -209,7 +197,7 @@ CarbonExplorer::configDigest(Strategy strategy) const
         digest = fnv1a64Bytes(values.data(),
                               values.size() * sizeof(double), digest);
     };
-    fold(load_trace_.power);
+    fold(coverage_.dcPower());
     fold(grid_trace_.intensity);
     fold(coverage_.solarShape());
     fold(coverage_.windShape());
@@ -249,7 +237,7 @@ BatchLaneResult
 CarbonExplorer::runLane(const BatchLaneConfig &lane,
                         obs::FlightRecorder *recorder) const
 {
-    const BatchedSimulationEngine engine(load_trace_.power,
+    const BatchedSimulationEngine engine(coverage_.dcPower(),
                                          coverage_.solarShape(),
                                          coverage_.windShape(),
                                          &grid_trace_.intensity);
@@ -304,8 +292,8 @@ CarbonExplorer::evaluationFrom(const DesignPoint &point, Strategy strategy,
 
     if (strategyUsesBattery(strategy) &&
         point.battery_mwh.value() > 0.0) {
-        const double days =
-            static_cast<double>(load_trace_.power.calendar().daysInYear());
+        const double days = static_cast<double>(
+            coverage_.dcPower().calendar().daysInYear());
         const double cycles_per_day = lane.battery_cycles / days;
         eval.embodied_battery_kg = embodied_.batteryAnnual(
             point.battery_mwh, config_.chemistry, cycles_per_day);
@@ -328,7 +316,7 @@ CarbonExplorer::simulate(const DesignPoint &point, Strategy strategy) const
     obs::counter("explorer.simulations").increment();
     const BatchLaneConfig lane = laneConfig(point, strategy);
     obs::FlightRecorder recording;
-    SimulationResult out(load_trace_.power.year());
+    SimulationResult out(coverage_.dcPower().year());
     static_cast<BatchLaneResult &>(out) = runLane(lane, &recording);
     const double capacity = lane.battery_capacity_mwh.value();
     for (size_t h = 0; h < recording.hours(); ++h) {
@@ -365,7 +353,7 @@ CarbonExplorer::explain(const DesignPoint &point, Strategy strategy) const
     out.capacity_cap_mw = lane.capacity_cap_mw;
     out.battery_capacity_mwh = lane.battery_capacity_mwh;
     out.grid_only_kg = OperationalCarbonModel::gridEmissions(
-        load_trace_.power, grid_trace_.intensity);
+        coverage_.dcPower(), grid_trace_.intensity);
     return out;
 }
 
@@ -438,7 +426,7 @@ SweepBatchEvaluator::SweepBatchEvaluator(const CarbonExplorer &explorer,
     // the kernel accumulates per-lane operational carbon inline.
     const size_t worker_ids = std::max<size_t>(threadCount(), 1);
     workspaces_ = std::make_unique<Workspaces>(
-        explorer_.load_trace_.power, explorer_.coverage_.solarShape(),
+        explorer_.coverage_.dcPower(), explorer_.coverage_.solarShape(),
         explorer_.coverage_.windShape(), &explorer_.grid_trace_.intensity,
         worker_ids);
 }
@@ -447,8 +435,7 @@ SweepBatchEvaluator::~SweepBatchEvaluator() = default;
 
 void
 SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
-                              Evaluation *out,
-                              obs::SweepProgressEmitter *emitter)
+                              Evaluation *out, obs::RunStatus *status)
 {
     CARBONX_PROFILE("sweep/batch");
     static auto &c_points = obs::counter("explorer.points_evaluated");
@@ -457,7 +444,6 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
 
     SweepResultCache *cache = explorer_.sweep_cache_;
     obs::DecisionJournal *journal = explorer_.journal_;
-    obs::RunStatus *status = explorer_.run_status_;
     if (journal != nullptr)
         journal->ensureSinks(workspaces_->per_worker.size());
 
@@ -471,6 +457,7 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
         CARBONX_PROFILE("sweep/cache_lookup");
         const uint64_t ts =
             journal != nullptr ? journal->nowUs() : 0;
+        double hits_best_kg = std::numeric_limits<double>::infinity();
         for (size_t i = 0; i < count; ++i) {
             if (cache != nullptr &&
                 cache->find(points[i], strategy_, &out[i])) {
@@ -486,14 +473,16 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
                     row.ts_us = ts;
                     journal->sink(0).record(row);
                 }
-                if (emitter != nullptr)
-                    emitter->add(out[i].totalKg().value());
+                hits_best_kg =
+                    std::min(hits_best_kg, out[i].totalKg().value());
             } else {
                 misses.push_back(i);
             }
         }
         if (cache != nullptr)
             c_hits.increment(count - misses.size());
+        if (status != nullptr)
+            status->addPoints(count - misses.size(), hits_best_kg);
     }
 
     // Misses shard into fixed-size lane waves: each worker fills its
@@ -538,10 +527,13 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
         // worker ever touches the same buffer.
         const uint64_t wave_ts =
             journal != nullptr ? journal->nowUs() : 0;
+        double wave_best_kg = std::numeric_limits<double>::infinity();
         for (size_t i = i0; i < i1; ++i) {
             const size_t idx = misses[i];
             out[idx] = ex.evaluationFrom(points[idx], strategy_,
                                          ws.batch.result(i - i0));
+            wave_best_kg =
+                std::min(wave_best_kg, out[idx].totalKg().value());
             if (journal != nullptr) {
                 const PointAnnotation *ann = annotations_ != nullptr
                     ? &annotations_[idx]
@@ -563,11 +555,9 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
                 row.ts_us = wave_ts;
                 journal->sink(worker).record(row);
             }
-            if (emitter != nullptr)
-                emitter->add(out[idx].totalKg().value());
         }
         if (status != nullptr)
-            status->noteWave(worker, i1 - i0);
+            status->addWave(worker, i1 - i0, wave_best_kg);
         // Point latency is sampled once per wave (mean over its
         // lanes) — one clock read and one histogram lock instead of
         // one per design point.
@@ -619,8 +609,6 @@ CarbonExplorer::optimizePass(const DesignSpace &space, Strategy strategy,
     static auto &g_threads = obs::gauge("sweep.threads");
     static auto &g_pps = obs::gauge("sweep.points_per_sec");
     c_passes.increment();
-    if (run_status_ != nullptr)
-        run_status_->setPhase("exhaustive sweep");
 
     const std::vector<double> solars = space.solar_mw.samples();
     const std::vector<double> winds = space.wind_mw.samples();
@@ -662,8 +650,10 @@ CarbonExplorer::optimizePass(const DesignSpace &space, Strategy strategy,
     g_threads.set(static_cast<double>(
         std::min(worker_ids, std::max<size_t>(pairs, 1))));
 
-    obs::SweepProgressEmitter emitter(progress_, pass, total,
-                                      progress_updates_);
+    if (run_status_ != nullptr) {
+        run_status_->setPhase("exhaustive sweep");
+        run_status_->beginPass(pass, total);
+    }
     const auto sweep_start = std::chrono::steady_clock::now();
 
     // Pair-run batches bound the checkpoint interval: a kill loses at
@@ -685,7 +675,7 @@ CarbonExplorer::optimizePass(const DesignSpace &space, Strategy strategy,
             evaluator.evaluate(points.data() + p0 * inner,
                                (p1 - p0) * inner,
                                result.evaluated.data() + p0 * inner,
-                               &emitter);
+                               run_status_);
         }
     } catch (const SweepAborted &) {
         // The aborting batch finished evaluating before checkpoint()
@@ -700,7 +690,8 @@ CarbonExplorer::optimizePass(const DesignSpace &space, Strategy strategy,
         }
         throw;
     }
-    emitter.finish();
+    if (run_status_ != nullptr)
+        run_status_->finishPass();
 
     // In-order scan with strict < reproduces the serial tie-break:
     // among equal totals the first-evaluated point wins.

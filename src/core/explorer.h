@@ -32,7 +32,6 @@
 #include "grid/grid_synthesizer.h"
 #include "obs/audit.h"
 #include "obs/journal.h"
-#include "obs/progress.h"
 #include "obs/recorder.h"
 #include "obs/status.h"
 #include "scheduler/simulation_batch.h"
@@ -358,31 +357,6 @@ class CarbonExplorer
         Fraction max_extra = Fraction(4.0)) const;
 
     /**
-     * Observe sweep progress: @p callback fires on throttled
-     * milestones of each sweep pass (every refinement round is its
-     * own pass) — at most @p max_updates_per_pass times plus the
-     * final point. Pass an empty function to detach. The sweep runs
-     * on a thread pool, so the callback may fire from any worker
-     * thread; invocations are serialized and points_done is monotone
-     * across them. The callback must not throw.
-     */
-    void setProgressCallback(obs::ProgressCallback callback,
-                             size_t max_updates_per_pass = 100)
-    {
-        progress_ = std::move(callback);
-        progress_updates_ = max_updates_per_pass;
-    }
-
-    /** The installed progress callback (may be empty). */
-    const obs::ProgressCallback &progressCallback() const
-    {
-        return progress_;
-    }
-
-    /** Milestone budget per sweep pass (see setProgressCallback). */
-    size_t progressUpdates() const { return progress_updates_; }
-
-    /**
      * Stable FNV-1a digest of everything an Evaluation depends on:
      * the full configuration (region, year, seed, demand model,
      * chemistry, embodied parameters, attribution, server spec) plus
@@ -424,9 +398,13 @@ class CarbonExplorer
     obs::DecisionJournal *journal() const { return journal_; }
 
     /**
-     * Attach a live run-status sink (borrowed; may be null). Sweep
-     * workers publish per-wave progress into it; the CLI renders it
-     * as the --status-out page and the SIGUSR1 dump.
+     * Attach a live run status (borrowed; may be null to detach).
+     * Every sweep pass — exhaustive or adaptive, each refinement
+     * round its own pass — opens a pass on it, adds each finished
+     * wave, and closes the pass; its milestone callback
+     * (obs::RunStatus::setMilestoneCallback) is how front ends observe
+     * sweep progress. The CLI renders it as the --status-out page and
+     * the SIGUSR1 dump.
      */
     void setRunStatus(obs::RunStatus *status) { run_status_ = status; }
 
@@ -450,7 +428,7 @@ class CarbonExplorer
 
     const ExplorerConfig &config() const { return config_; }
     const GridTrace &gridTrace() const { return grid_trace_; }
-    const TimeSeries &dcPower() const { return load_trace_.power; }
+    const TimeSeries &dcPower() const { return coverage_.dcPower(); }
     const TimeSeries &gridIntensity() const { return grid_trace_.intensity; }
     const CoverageAnalyzer &coverageAnalyzer() const { return coverage_; }
     MegaWatts dcPeakPowerMw() const { return peak_power_mw_; }
@@ -483,13 +461,13 @@ class CarbonExplorer
 
     ExplorerConfig config_;
     GridTrace grid_trace_;
-    LoadTrace load_trace_;
-    /** Also holds the per-unit solar/wind shapes (one copy each). */
+    /**
+     * Also holds the hourly demand and the per-unit solar/wind
+     * shapes (one copy each).
+     */
     CoverageAnalyzer coverage_;
     EmbodiedCarbonModel embodied_;
     MegaWatts peak_power_mw_;
-    obs::ProgressCallback progress_;
-    size_t progress_updates_ = 100;
     SweepResultCache *sweep_cache_ = nullptr;
     obs::DecisionJournal *journal_ = nullptr;
     obs::RunStatus *run_status_ = nullptr;
@@ -535,8 +513,9 @@ class SweepBatchEvaluator
      * the process thread pool. Per-lane renewable supply is evaluated
      * inline from the shared shapes inside the kernel, so no point
      * ordering is required for performance (contiguous (solar, wind)
-     * runs are fine but no longer special). Reports each point to
-     * @p emitter (optional).
+     * runs are fine but no longer special). Adds each finished
+     * wave, and the cache hits as one batch, to the current pass of
+     * @p status (optional).
      *
      * Each call ends with a checkpoint: fresh results are inserted
      * into the attached cache and flushed to disk, then SweepAborted
@@ -545,7 +524,7 @@ class SweepBatchEvaluator
      * many points they pass per call.
      */
     void evaluate(const DesignPoint *points, size_t count,
-                  Evaluation *out, obs::SweepProgressEmitter *emitter);
+                  Evaluation *out, obs::RunStatus *status);
 
     /** Freshly simulated (cache-missed) points so far. */
     size_t simulatedPoints() const { return simulated_points_; }

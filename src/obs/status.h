@@ -1,18 +1,20 @@
 /**
  * @file
- * Live run status for long sweeps: a lock-free, atomically updated
- * snapshot of what the process is doing right now, rendered either
- * as a periodically rewritten single-page status file (--status-out,
- * written tmp-then-rename so readers never see a torn page) or on
- * demand to stderr when the process receives SIGUSR1.
+ * Live run status for long sweeps: the one progress aggregate of the
+ * design-space search. The sweep drivers open and close passes, the
+ * batched evaluator adds each finished wave, and everything that
+ * shows progress reads from here: the periodically rewritten
+ * single-page status file (--status-out, written tmp-then-rename so
+ * readers never see a torn page), the SIGUSR1 dump to stderr, and an
+ * optional milestone callback for front ends (the CLI's --progress
+ * lines, notebooks, dashboards) that render progress without the
+ * library choosing a presentation.
  *
- * Writers are the sweep internals: the explorer/adaptive driver sets
- * the phase, the CLI progress callback publishes pass/points/ETA,
- * and each batched-evaluator worker bumps its own per-worker slot
- * after every wave. Every field is an atomic with relaxed ordering —
- * the page is an operator's situational-awareness tool, not a
- * synchronization point, so a snapshot may mix values from adjacent
- * waves; it is never torn within one field.
+ * Every counter is an atomic with relaxed ordering — the page is an
+ * operator's situational-awareness tool, not a synchronization
+ * point, so a snapshot may mix values from adjacent waves; it is
+ * never torn within one field. Elapsed time, the ETA and the rate
+ * are derived from the pass start when read, never stored.
  *
  * The SIGUSR1 path is split in two because almost nothing is
  * async-signal-safe: the handler only sets a flag, and the
@@ -26,12 +28,70 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <limits>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace carbonx::obs
 {
+
+/** State of one sweep pass, as sent on each milestone. */
+struct SweepProgress
+{
+    /** Refinement pass: 0 is the initial coarse sweep. */
+    int pass = 0;
+
+    /** Design points evaluated so far in this pass. */
+    size_t points_done = 0;
+
+    /**
+     * Design points this pass will evaluate in total, as currently
+     * known. An adaptive sweep discovers work as it refines, so the
+     * total may grow between milestones; it never shrinks, and
+     * points_done never exceeds it.
+     */
+    size_t points_total = 0;
+
+    /** Lowest total (operational + embodied) carbon so far (kg). */
+    double best_total_kg = 0.0;
+
+    /** Wall time since the pass started (seconds). */
+    double elapsed_seconds = 0.0;
+
+    /**
+     * Remaining wall time extrapolated from the mean per-point cost;
+     * negative while unknown (no point finished yet).
+     */
+    double eta_seconds = -1.0;
+
+    double fractionDone() const
+    {
+        return points_total > 0
+            ? static_cast<double>(points_done) /
+                  static_cast<double>(points_total)
+            : 0.0;
+    }
+
+    double pointsPerSecond() const
+    {
+        return elapsed_seconds > 0.0
+            ? static_cast<double>(points_done) / elapsed_seconds
+            : 0.0;
+    }
+};
+
+/**
+ * Invoked on throttled sweep milestones (at most
+ * RunStatus::kMilestonesPerPass per pass, plus the terminal one);
+ * must not throw. The sweep runs on a thread pool, so the callback
+ * can fire from any worker thread; calls are serialized and
+ * points_done is strictly increasing across them within a pass.
+ */
+using ProgressCallback = std::function<void(const SweepProgress &)>;
 
 class RunStatus
 {
@@ -43,6 +103,14 @@ class RunStatus
      */
     static constexpr size_t kMaxWorkers = 64;
 
+    /**
+     * Milestone budget per pass: the callback fires each time
+     * points_done crosses another 1/kMilestonesPerPass of the pass's
+     * initial total, plus once when the pass completes. A pass whose
+     * total grows reports proportionally more milestones.
+     */
+    static constexpr size_t kMilestonesPerPass = 10;
+
     struct WorkerState
     {
         uint64_t waves = 0;  ///< Evaluation waves this worker ran.
@@ -53,13 +121,7 @@ class RunStatus
     struct Snapshot
     {
         const char *phase = "idle";
-        int pass = 0;
-        uint64_t points_done = 0;
-        uint64_t points_total = 0;
-        double best_total_kg = 0.0;
-        double elapsed_seconds = 0.0;
-        double eta_seconds = -1.0;
-        double points_per_sec = 0.0;
+        SweepProgress progress;
         uint64_t waves_done = 0;
         /** Slots that saw work, in worker-id order (id = index). */
         std::vector<std::pair<size_t, WorkerState>> workers;
@@ -71,13 +133,54 @@ class RunStatus
         phase_.store(phase, std::memory_order_relaxed);
     }
 
-    /** Publish one progress milestone (CLI progress callback). */
-    void updateProgress(int pass, uint64_t done, uint64_t total,
-                        double best_total_kg, double elapsed_seconds,
-                        double eta_seconds);
+    /**
+     * Observe sweep milestones (empty detaches). Install before a
+     * sweep starts, not during one.
+     */
+    void setMilestoneCallback(ProgressCallback callback)
+    {
+        callback_ = std::move(callback);
+    }
 
-    /** Worker @p worker finished one wave of @p points points. */
-    void noteWave(size_t worker, uint64_t points);
+    /**
+     * Open pass @p pass over @p points_total points: resets the done
+     * count, the best total, the clock and the milestone series.
+     * Call from the coordinating thread before any worker reports.
+     */
+    void beginPass(int pass, uint64_t points_total);
+
+    /**
+     * Announce @p delta additional points this pass will evaluate.
+     * Adaptive refinement discovers work mid-pass; growing the total
+     * before the new points are added keeps points_done <=
+     * points_total in every snapshot.
+     */
+    void growTotal(uint64_t delta)
+    {
+        total_.fetch_add(delta, std::memory_order_relaxed);
+    }
+
+    /**
+     * @p points more points of this pass are done (e.g. cache
+     * replays); @p best_kg is the lowest total among them. Fires the
+     * milestone callback when the count crosses a milestone or
+     * reaches the total.
+     */
+    void addPoints(uint64_t points, double best_kg);
+
+    /**
+     * Worker @p worker simulated one wave of @p points points whose
+     * lowest total is @p best_kg: bumps its slot, then addPoints().
+     */
+    void addWave(size_t worker, uint64_t points, double best_kg);
+
+    /**
+     * Close the pass: freeze its elapsed time and emit the terminal
+     * milestone unless it already fired, so a pass that stops short
+     * of its total still ends its series at the points actually done.
+     * Idempotent; call after the sweep's workers have joined.
+     */
+    void finishPass();
 
     Snapshot snapshot() const;
 
@@ -99,15 +202,27 @@ class RunStatus
         std::atomic<uint64_t> points{0};
     };
 
+    /** The pass's state with @p done points finished. */
+    SweepProgress progressAt(uint64_t done) const;
+
+    /** Fire the callback for @p done unless it already reported. */
+    void emit(uint64_t done);
+
     std::atomic<const char *> phase_{"idle"};
     std::atomic<int> pass_{0};
     std::atomic<uint64_t> done_{0};
     std::atomic<uint64_t> total_{0};
-    std::atomic<double> best_kg_{0.0};
-    std::atomic<double> elapsed_s_{0.0};
-    std::atomic<double> eta_s_{-1.0};
+    std::atomic<uint64_t> stride_{1};
+    std::atomic<double> best_kg_{std::numeric_limits<double>::infinity()};
+    /** Steady-clock ns of the pass start and end; -1 while unset. */
+    std::atomic<int64_t> start_ns_{-1};
+    std::atomic<int64_t> end_ns_{-1};
     std::atomic<uint64_t> waves_{0};
     std::array<Slot, kMaxWorkers> workers_{};
+
+    ProgressCallback callback_;
+    std::mutex emit_mutex_;
+    uint64_t last_emitted_ = 0; ///< Guarded by emit_mutex_.
 };
 
 /**

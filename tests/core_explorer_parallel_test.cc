@@ -234,17 +234,17 @@ TEST(ParallelSweep, RunIntoReusedResultMatchesAllocating)
 TEST(ParallelSweep, ProgressMilestonesAreMonotoneAndEndAtTotal)
 {
     CarbonExplorer explorer(utahConfig());
-    const DesignSpace space = smallSpace();
+    // 216 points: four 64-lane waves, so several milestones fire.
+    const DesignSpace space = DesignSpace::forDatacenter(19.0, 6.0, 6, 6, 2);
 
     std::mutex mutex;
     std::vector<obs::SweepProgress> snapshots;
-    const size_t max_updates = 7;
-    explorer.setProgressCallback(
-        [&](const obs::SweepProgress &p) {
-            const std::lock_guard<std::mutex> lock(mutex);
-            snapshots.push_back(p);
-        },
-        max_updates);
+    obs::RunStatus status;
+    status.setMilestoneCallback([&](const obs::SweepProgress &p) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        snapshots.push_back(p);
+    });
+    explorer.setRunStatus(&status);
 
     const ThreadCountGuard guard(hardwareThreads());
     const Strategy strategy = Strategy::RenewableBattery;
@@ -252,7 +252,8 @@ TEST(ParallelSweep, ProgressMilestonesAreMonotoneAndEndAtTotal)
 
     const size_t total = space.sizeFor(strategy);
     ASSERT_FALSE(snapshots.empty());
-    EXPECT_LE(snapshots.size(), max_updates + 1);
+    EXPECT_GT(snapshots.size(), 1u);
+    EXPECT_LE(snapshots.size(), obs::RunStatus::kMilestonesPerPass + 1);
     for (size_t i = 0; i < snapshots.size(); ++i) {
         EXPECT_EQ(snapshots[i].pass, 0);
         EXPECT_EQ(snapshots[i].points_total, total);

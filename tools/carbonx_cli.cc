@@ -298,22 +298,22 @@ cmdOptimize(const ArgParser &args, obs::RunStatus &status)
     explorer.setAbortAfterPoints(
         static_cast<size_t>(args.getUint64("abort-after-points", 0)));
 
-    // Live run status: the sweep publishes phase/wave state into
-    // `status` (owned by main so the SweepAborted handler can still
-    // render it), the progress callback republishes the page, and
-    // SIGUSR1 dumps it to stderr on demand. The progress callback is
+    // Live run status: the sweep publishes its passes and waves into
+    // `status` (owned by main so it outlives the explorer while
+    // exceptions unwind), each milestone republishes the page, and
+    // SIGUSR1 dumps it to stderr on demand. The milestone callback is
     // always installed — it doubles as the SIGUSR1 poll point — but
     // stderr progress lines stay opt-in.
     explorer.setRunStatus(&status);
     obs::installStatusSignalHandler();
     const bool progress = args.getBool("progress");
     const std::string status_path = args.getString("status-out", "");
-    explorer.setProgressCallback(
+    status.setMilestoneCallback(
         [&status, status_path, progress](const obs::SweepProgress &p) {
             if (progress) {
-                // ~10 stderr lines per pass plus the final one
-                // (throttling is done by the sweep's emitter), so
-                // stdout stays a clean parseable table.
+                // At most obs::RunStatus::kMilestonesPerPass lines
+                // per pass plus the final one, on stderr so stdout
+                // stays a clean parseable table.
                 std::cerr << "progress: pass " << p.pass << ' '
                           << p.points_done << '/' << p.points_total
                           << " points, best "
@@ -323,15 +323,11 @@ cmdOptimize(const ArgParser &args, obs::RunStatus &status)
                                          1)
                           << "s\n";
             }
-            status.updateProgress(p.pass, p.points_done,
-                                  p.points_total, p.best_total_kg,
-                                  p.elapsed_seconds, p.eta_seconds);
             if (!status_path.empty())
                 status.writeFile(status_path);
             if (obs::consumeStatusSignal())
                 status.writeText(std::cerr);
-        },
-        10);
+        });
 
     // Decision journal: one per run, covering every strategy swept.
     // The header digest folds each strategy's config digest so a

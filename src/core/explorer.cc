@@ -57,6 +57,36 @@ traceFromExternal(const ExternalTraces &traces)
     return trace;
 }
 
+/**
+ * Column @p column of an external trace CSV as a series. Every value
+ * must be a finite number >= 0: a negative or NaN intensity would
+ * silently corrupt operational carbon, and negative load or
+ * generation would fail deep in the engine without naming the file.
+ */
+TimeSeries
+traceColumn(const CsvTable &csv, const std::string &path,
+            const std::string &column, int year)
+{
+    const size_t col = csv.columnIndex(column);
+    std::vector<double> values(csv.numRows());
+    for (size_t r = 0; r < values.size(); ++r) {
+        double value = std::numeric_limits<double>::quiet_NaN();
+        try {
+            value = csv.numericCell(r, col);
+        } catch (const UserError &) {
+            // Not a number: reported below with the file and row.
+        }
+        if (!std::isfinite(value) || value < 0.0) {
+            throw UserError(
+                "trace CSV " + path + ": column " + column +
+                " must hold finite numbers >= 0, but data row " +
+                std::to_string(r + 1) + " is '" + csv.cell(r, col) + "'");
+        }
+        values[r] = value;
+    }
+    return TimeSeries(year, std::move(values));
+}
+
 } // namespace
 
 ExternalTraces
@@ -68,12 +98,15 @@ ExternalTraces::fromCsv(const std::string &path, int year)
     const CsvTable csv = CsvTable::readFile(path);
     const HourlyCalendar calendar(year);
     require(csv.numRows() == calendar.hoursInYear(),
-            "trace CSV must have one row per hour of the year");
-    TimeSeries load(year, csv.numericColumn("dc_power_mw"));
-    TimeSeries solar(year, csv.numericColumn("solar_mw"));
-    TimeSeries wind(year, csv.numericColumn("wind_mw"));
-    TimeSeries intensity(year,
-                         csv.numericColumn("intensity_g_per_kwh"));
+            "trace CSV " + path + " must have one row per hour of " +
+                std::to_string(year) + " (" +
+                std::to_string(calendar.hoursInYear()) + "), not " +
+                std::to_string(csv.numRows()));
+    TimeSeries load = traceColumn(csv, path, "dc_power_mw", year);
+    TimeSeries solar = traceColumn(csv, path, "solar_mw", year);
+    TimeSeries wind = traceColumn(csv, path, "wind_mw", year);
+    TimeSeries intensity =
+        traceColumn(csv, path, "intensity_g_per_kwh", year);
     // Dead generation columns are almost always an export bug (wrong
     // units, empty join), so reject them here with the column name
     // instead of letting scaledToMax produce a cryptic error. A region
@@ -646,9 +679,23 @@ CarbonExplorer::optimizePass(const DesignSpace &space, Strategy strategy,
         }
     }
 
+    // Pair-run batches bound the checkpoint interval: a kill loses at
+    // most one batch of fresh simulations, and the cache sees one
+    // flush per batch instead of one per sweep. Each batch hands the
+    // evaluator whole waves of points, which it shards into SoA lane
+    // batches for the batched engine. A batch covers at least four
+    // full waves per worker, so thin lattices (one inner point per
+    // pair, as in RenewablesOnly) still occupy every worker; wide
+    // ones (CAS, 45 inner points) keep the 64-pair floor.
     const size_t worker_ids = std::max<size_t>(threadCount(), 1);
-    g_threads.set(static_cast<double>(
-        std::min(worker_ids, std::max<size_t>(pairs, 1))));
+    const size_t batch_pairs = std::max<size_t>(
+        {64, 8 * worker_ids,
+         (4 * kSweepBatchLanes * worker_ids + inner - 1) / inner});
+    // The workers one batch can occupy: one per wave.
+    const size_t batch_waves =
+        (std::min(pairs, batch_pairs) * inner + kSweepBatchLanes - 1) /
+        kSweepBatchLanes;
+    g_threads.set(static_cast<double>(std::min(worker_ids, batch_waves)));
 
     if (run_status_ != nullptr) {
         run_status_->setPhase("exhaustive sweep");
@@ -656,15 +703,7 @@ CarbonExplorer::optimizePass(const DesignSpace &space, Strategy strategy,
     }
     const auto sweep_start = std::chrono::steady_clock::now();
 
-    // Pair-run batches bound the checkpoint interval: a kill loses at
-    // most one batch of fresh simulations, and the cache sees one
-    // flush per batch instead of one per sweep. Each batch hands the
-    // evaluator a whole wave of points, which it shards into SoA
-    // lane batches for the batched engine, so larger batches also
-    // mean fuller lanes per hourly-trace pass.
     SweepBatchEvaluator evaluator(*this, strategy);
-    const size_t batch_pairs =
-        std::max<size_t>(64, 8 * worker_ids);
     size_t points_done = 0;
     try {
         for (size_t p0 = 0; p0 < pairs; p0 += batch_pairs) {

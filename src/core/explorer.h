@@ -282,6 +282,8 @@ struct ExternalTraces
      * Load from a CSV with columns dc_power_mw, solar_mw, wind_mw,
      * intensity_g_per_kwh (one row per hour of @p year; extra columns
      * ignored). Solar/wind columns are rescaled to per-unit shapes.
+     * Throws UserError naming the file, the column and the first bad
+     * data row when a value is negative or not finite.
      */
     static ExternalTraces fromCsv(const std::string &path, int year);
 };

@@ -32,12 +32,88 @@ BatchedSimulationEngine::BatchedSimulationEngine(
     }
 }
 
+// The plain stage 2. With fwr == 0, no battery and cap >= peak, the
+// general step in run() reduces to served = fixed + forced =
+// load + 0.0 on every lane (the backlog never fills), and every
+// dispatch term (battery_in/out, defer, grid_charge) is +0.0. What is
+// left are the general step's exact operations, in the same order,
+// minus those that add or subtract a zero:
+//  - served, its energy and its peak do not depend on the lane, so
+//    they are summed once per batch and copied to every lane after
+//    the loop (same sums, same order);
+//  - the + 0.0 in served is kept: it turns a -0.0 load hour into
+//    +0.0, as the general step's + forced does;
+//  - max(shortfall, 0.0) + grid_charge folds into one select: the
+//    + 0.0 only turns a -0.0 shortfall into +0.0, which "<= 0.0 ? 0.0"
+//    does too, and NaN passes through both.
+// Each std::min/std::max is written as a value select with the
+// library's operand order (b < a ? b : a), so ties and signed zeros
+// pick the same operand. A function of its own, so the general
+// loop's code is the same with or without this path.
+void
+BatchedSimulationEngine::runPlain(SimulationBatch &batch) const
+{
+    CARBONX_PROFILE("sim/batch_step_plain");
+    const size_t m = batch.size_;
+    const size_t n = dc_power_.size();
+    const double *dc = dc_power_.values().data();
+    const double *sshape = solar_shape_.values().data();
+    const double *wshape = wind_shape_.values().data();
+    const double *inten = grid_intensity_ != nullptr
+        ? grid_intensity_->values().data()
+        : nullptr;
+    const double *__restrict solar = batch.solar_.data();
+    const double *__restrict wind = batch.wind_.data();
+    double *__restrict acc_grid = batch.acc_grid_.data();
+    double *__restrict acc_ren_used = batch.acc_ren_used_.data();
+    double *__restrict acc_ren_excess = batch.acc_ren_excess_.data();
+    double *__restrict acc_carbon = batch.acc_carbon_.data();
+    const double dt = 1.0; // Hourly steps.
+
+    double load_sum = 0.0;
+    double served_sum = 0.0;
+    double peak = 0.0;
+    for (size_t h = 0; h < n; ++h) {
+        const double load = dc[h];
+        const double sh = sshape[h];
+        const double wh = wshape[h];
+        const double inten_h = inten != nullptr ? inten[h] : 0.0;
+        const double served = load + 0.0;
+        load_sum += load * dt;
+        served_sum += served * dt;
+        peak = std::max(peak, served);
+
+        // Stage 2, plain lanes: supply, grid draw, renewable use and
+        // carbon fused into one branch-free lane loop. The CI
+        // vectorization smoke check requires this loop to stay
+        // vectorized; GCC needs the select form of grid to if-convert
+        // it under the default -ftrapping-math.
+#pragma GCC ivdep
+        for (size_t l = 0; l < m; ++l) {
+            const double lane_ren = sh * solar[l] + wh * wind[l];
+            const double green_used =
+                served < lane_ren ? served : lane_ren;
+            const double shortfall = served - lane_ren;
+            const double grid = shortfall <= 0.0 ? 0.0 : shortfall;
+            const double excess = lane_ren - green_used;
+            acc_grid[l] += grid * dt;
+            acc_ren_used[l] += green_used * dt;
+            acc_ren_excess[l] += (excess < 0.0 ? 0.0 : excess) * dt;
+            acc_carbon[l] += grid * inten_h;
+        }
+    }
+    std::fill_n(batch.acc_load_.data(), m, load_sum);
+    std::fill_n(batch.acc_served_.data(), m, served_sum);
+    std::fill_n(batch.acc_peak_.data(), m, peak);
+}
+
 void
 BatchedSimulationEngine::run(SimulationBatch &batch,
                              obs::FlightRecorder *recorder) const
 {
     CARBONX_PROFILE("sim/batch_run");
     static auto &c_batches = obs::counter("sim.batch_runs");
+    static auto &c_plain = obs::counter("sim.plain_batch_runs");
     static auto &c_lanes = obs::counter("sim.batch_lanes");
     static auto &c_hours = obs::counter("sim.hours_simulated");
     static auto &c_charge = obs::counter("battery.charge_calls");
@@ -61,13 +137,20 @@ BatchedSimulationEngine::run(SimulationBatch &batch,
     // Engine-side lane validation (the batch validated everything it
     // could without trace context in addLane). Branch-then-throw:
     // run() sits on the sweep's per-wave path and must not allocate
-    // on the success path.
+    // on the success path. The same pass decides whether the batch is
+    // plain: no battery, no deferral, no grid charging and a cap at
+    // or above the peak on every lane, so no dispatch term can ever
+    // become nonzero (see runPlain).
+    bool plain = recorder == nullptr;
     for (size_t l = 0; l < m; ++l) {
         if (batch.cap_[l] < peak_mw_ - kCapacityCapSlackMw)
             throw UserError("capacity cap below the load peak");
         if (batch.grid_charging_[l] != 0 && grid_intensity_ == nullptr)
             throw UserError(
                 "grid-charging policy requires an intensity series");
+        plain = plain && batch.has_battery_[l] == 0 &&
+            batch.fwr_[l] == 0.0 && batch.grid_charging_[l] == 0 &&
+            batch.cap_[l] >= peak_mw_;
     }
 
     // Reset per-lane run state; assign/resize never allocate here
@@ -188,7 +271,10 @@ BatchedSimulationEngine::run(SimulationBatch &batch,
         return delivered;
     };
 
-    {
+    if (plain) {
+        runPlain(batch);
+        c_plain.increment();
+    } else {
         CARBONX_PROFILE("sim/batch_step");
         for (size_t h = 0; h < n; ++h) {
             const double load = dc[h];

@@ -27,6 +27,12 @@
  *     C/L/C model (battery/chemistry.h) on the batch's SoA state;
  *     this is the library's only copy of the battery physics.
  *
+ * A plain batch (no recorder; every lane without battery, deferral or
+ * grid charging, with its cap at or above the load peak) replaces
+ * both stages with one fused, branch-free lane loop: the general step
+ * with its always-zero dispatch terms removed, bit-identical to it
+ * (DESIGN.md section 13 gives the argument).
+ *
  * Lane independence: a lane's aggregates do not depend on the batch
  * it shares or its position in it, on whether a flight recorder is
  * attached, or on profiling. tests/scheduler_batched_engine_test.cc
@@ -90,6 +96,12 @@ class BatchedSimulationEngine
     const TimeSeries &dcPower() const { return dc_power_; }
 
   private:
+    /**
+     * The hourly loop of a plain batch (see the file comment), for
+     * run() to call after it has validated and reset the batch.
+     */
+    void runPlain(SimulationBatch &batch) const;
+
     const TimeSeries &dc_power_;
     const TimeSeries &solar_shape_;
     const TimeSeries &wind_shape_;

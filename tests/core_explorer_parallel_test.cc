@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <mutex>
 #include <vector>
 
 #include "battery/chemistry.h"
 #include "common/parallel.h"
 #include "core/explorer.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "scheduler/batched_engine.h"
 
@@ -265,6 +267,71 @@ TEST(ParallelSweep, ProgressMilestonesAreMonotoneAndEndAtTotal)
         }
     }
     EXPECT_EQ(snapshots.back().points_done, total);
+}
+
+/** The paper's Fig. 7 surface: a 101 x 101 RenewablesOnly lattice. */
+DesignSpace
+fig7Space()
+{
+    return DesignSpace::forDatacenter(19.0, 6.0, 101, 2, 2);
+}
+
+TEST(ParallelSweep, ThinLatticeBatchesOccupyEveryWorker)
+{
+    // One inner point per (solar, wind) pair: each checkpoint batch
+    // must still hold enough 64-lane waves for every worker, and the
+    // result must not depend on which worker ran which wave.
+    const CarbonExplorer &ex = utahExplorer();
+    const DesignSpace space = fig7Space();
+    const Strategy strategy = Strategy::RenewablesOnly;
+    ASSERT_EQ(space.sizeFor(strategy), 101u * 101u);
+
+    OptimizationResult serial;
+    {
+        const ThreadCountGuard guard(1);
+        serial = ex.optimize(space, strategy);
+    }
+    for (const size_t threads : {size_t{2}, size_t{3}}) {
+        CarbonExplorer explorer(utahConfig());
+        obs::RunStatus status;
+        explorer.setRunStatus(&status);
+        const ThreadCountGuard guard(threads);
+        const OptimizationResult parallel =
+            explorer.optimize(space, strategy);
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        expectResultIdentical(serial, parallel);
+        EXPECT_EQ(std::bit_cast<uint64_t>(parallel.best.totalKg().value()),
+                  std::bit_cast<uint64_t>(serial.best.totalKg().value()));
+        for (size_t i = 0; i < serial.evaluated.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<uint64_t>(
+                          parallel.evaluated[i].totalKg().value()),
+                      std::bit_cast<uint64_t>(
+                          serial.evaluated[i].totalKg().value()))
+                << "evaluated[" << i << "]";
+        }
+
+        const obs::RunStatus::Snapshot snap = status.snapshot();
+        ASSERT_EQ(snap.workers.size(), threads);
+        for (const auto &[worker, state] : snap.workers) {
+            SCOPED_TRACE("worker " + std::to_string(worker));
+            EXPECT_GT(state.waves, 0u);
+        }
+    }
+}
+
+TEST(ParallelSweep, ThreadsGaugeCountsWorkersOneBatchCanOccupy)
+{
+    const CarbonExplorer &ex = utahExplorer();
+    const auto &g_threads = obs::gauge("sweep.threads");
+    const ThreadCountGuard guard(2);
+
+    // 64 points: one wave, so one worker runs whatever the pool size.
+    ex.optimize(DesignSpace::forDatacenter(19.0, 6.0, 8, 2, 2),
+                Strategy::RenewablesOnly);
+    EXPECT_EQ(g_threads.value(), 1.0);
+
+    ex.optimize(fig7Space(), Strategy::RenewablesOnly);
+    EXPECT_EQ(g_threads.value(), 2.0);
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/error.h"
@@ -157,6 +159,79 @@ TEST(ExternalTraces, CsvRejectsDeadRenewableColumn)
                   std::string::npos)
             << e.what();
     }
+}
+
+/** Expect fromCsv(@p path) to throw a UserError naming every @p part. */
+void
+expectCsvError(const std::string &path,
+               const std::vector<std::string> &parts)
+{
+    try {
+        ExternalTraces::fromCsv(path, kYear);
+        FAIL() << "expected a UserError for " << path;
+    } catch (const UserError &e) {
+        for (const std::string &part : parts) {
+            EXPECT_NE(std::string(e.what()).find(part), std::string::npos)
+                << "'" << part << "' missing from: " << e.what();
+        }
+    }
+}
+
+TEST(ExternalTraces, CsvRowCountErrorNamesTheFile)
+{
+    const std::string path = testing::TempDir() + "/carbonx_two_rows.csv";
+    CsvTable csv({"dc_power_mw", "solar_mw", "wind_mw",
+                  "intensity_g_per_kwh"});
+    csv.addNumericRow({1.0, 2.0, 3.0, 4.0});
+    csv.addNumericRow({1.0, 2.0, 3.0, 4.0});
+    csv.writeFile(path);
+    expectCsvError(path, {path, "8760", "not 2"});
+}
+
+TEST(ExternalTraces, CsvRejectsNegativeAndNonFiniteValues)
+{
+    // Every value column must hold finite numbers >= 0; the error
+    // names the file, the column and the first bad data row (1-based).
+    const HourlyCalendar cal(kYear);
+    const std::vector<std::string> columns = {
+        "dc_power_mw", "solar_mw", "wind_mw", "intensity_g_per_kwh"};
+    for (size_t col = 0; col < columns.size(); ++col) {
+        for (const std::string bad : {"-1.5", "nan", "inf", "-inf", "abc"}) {
+            SCOPED_TRACE(columns[col] + " = " + bad);
+            const std::string path =
+                testing::TempDir() + "/carbonx_bad_value.csv";
+            CsvTable csv(columns);
+            for (size_t h = 0; h < cal.hoursInYear(); ++h) {
+                std::vector<std::string> row = {"25", "100", "50",
+                                                "400"};
+                // Rows 37 and 38 (1-based) are bad; 37 is reported.
+                if (h == 36 || h == 37)
+                    row[col] = bad;
+                csv.addRow(row);
+            }
+            csv.writeFile(path);
+            expectCsvError(path, {path, columns[col], "data row 37 ",
+                                  "'" + bad + "'"});
+        }
+    }
+}
+
+TEST(ExternalTraces, CsvAcceptsZerosInEveryColumn)
+{
+    // Zero is a valid load, generation or intensity hour.
+    const std::string path = testing::TempDir() + "/carbonx_zeros.csv";
+    CsvTable csv({"dc_power_mw", "solar_mw", "wind_mw",
+                  "intensity_g_per_kwh"});
+    const HourlyCalendar cal(kYear);
+    for (size_t h = 0; h < cal.hoursInYear(); ++h) {
+        const double on = h % 2 == 0 ? 1.0 : 0.0;
+        csv.addNumericRow({25.0 * on, 100.0 * on, 50.0 * (1.0 - on),
+                           400.0 * on});
+    }
+    csv.writeFile(path);
+    const ExternalTraces traces = ExternalTraces::fromCsv(path, kYear);
+    EXPECT_EQ(traces.dc_power.min(), 0.0);
+    EXPECT_EQ(traces.intensity.min(), 0.0);
 }
 
 TEST(ExternalTraces, SyntheticExportFeedsBackIdentically)

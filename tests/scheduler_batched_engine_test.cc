@@ -24,8 +24,10 @@
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/tolerances.h"
 #include "core/explorer.h"
 #include "obs/audit.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/recorder.h"
 #include "scheduler/batched_engine.h"
@@ -613,6 +615,36 @@ TEST(BatchedEngine, NoAllocationsAfterWarmup)
     g_count_allocations.store(false);
     EXPECT_EQ(g_allocation_count.load(), 0u)
         << "warm fill+run of the batched kernel must not allocate";
+
+    // The same contract on the plain stage 2: the lanes without
+    // battery, deferral or grid charging, run as their own batch.
+    const auto &c_plain = obs::counter("sim.plain_batch_runs");
+    std::vector<BatchLaneConfig> plain_configs;
+    for (BatchLaneConfig lane : configs) {
+        lane.flexible_ratio = Fraction(0.0);
+        lane.chemistry = nullptr;
+        lane.battery_capacity_mwh = MegaWattHours(0.0);
+        lane.grid_charge_policy = GridChargePolicy::Never;
+        plain_configs.push_back(lane);
+    }
+    SimulationBatch plain(plain_configs.size());
+    auto fillPlain = [&] {
+        plain.clear();
+        for (const BatchLaneConfig &lane : plain_configs)
+            plain.addLane(lane);
+    };
+    fillPlain();
+    engine.run(plain);
+
+    const uint64_t plain_runs = c_plain.value();
+    g_allocation_count.store(0);
+    g_count_allocations.store(true);
+    fillPlain();
+    engine.run(plain);
+    g_count_allocations.store(false);
+    EXPECT_EQ(g_allocation_count.load(), 0u)
+        << "warm fill+run of a plain batch must not allocate";
+    EXPECT_EQ(c_plain.value(), plain_runs + 1);
 }
 
 TEST(BatchedEngine, ProfiledRunIsBitIdenticalAndRecordsPhases)
@@ -664,6 +696,167 @@ TEST(BatchedEngine, ProfiledRunIsBitIdenticalAndRecordsPhases)
     };
     EXPECT_NE(findDeep(merged, "sim/batch_step", findDeep), nullptr);
     EXPECT_NE(findDeep(merged, "sim/batch_drain", findDeep), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// The plain stage 2: batches whose every lane has no battery, no
+// deferral, no grid charging and a cap at or above the peak run a
+// fused lane loop that must reproduce the general step bit for bit.
+// ---------------------------------------------------------------------------
+
+/** Is @p lane one the engine runs on the plain stage 2? */
+bool
+isPlainLane(const BatchLaneConfig &lane, double peak)
+{
+    return lane.chemistry == nullptr &&
+        lane.flexible_ratio.value() == 0.0 &&
+        lane.grid_charge_policy == GridChargePolicy::Never &&
+        lane.capacity_cap_mw.value() >= peak;
+}
+
+/**
+ * Run @p lanes once alone (a plain batch) and once with @p battery
+ * appended (which sends the whole batch down the general step), and
+ * require every lane's 14 aggregates to agree bitwise.
+ */
+void
+expectPlainMatchesGeneral(const BatchedSimulationEngine &engine,
+                          const std::vector<BatchLaneConfig> &lanes,
+                          const BatchLaneConfig &battery)
+{
+    const auto &c_plain = obs::counter("sim.plain_batch_runs");
+    const uint64_t before = c_plain.value();
+    const std::vector<BatchLaneResult> plain = runTogether(engine, lanes);
+    ASSERT_EQ(c_plain.value(), before + 1) << "plain path not taken";
+
+    std::vector<BatchLaneConfig> mixed = lanes;
+    mixed.push_back(battery);
+    const std::vector<BatchLaneResult> general = runTogether(engine, mixed);
+    ASSERT_EQ(c_plain.value(), before + 1) << "general path not taken";
+
+    for (size_t i = 0; i < lanes.size(); ++i) {
+        SCOPED_TRACE("lane " + std::to_string(i));
+        expectBitIdentical(aggregatesOf(plain[i]),
+                           aggregatesOf(general[i]));
+    }
+}
+
+TEST(BatchedEngine, PlainRowsOfTheFrozenTableMatchItAsOneBatch)
+{
+    // The frozen table's plain rows (no battery, fwr 0), re-run as one
+    // homogeneous batch so they take the plain stage 2, must still
+    // match the table the scalar engine produced.
+    const SyntheticTraces t = makeTraces(0xC0FFEE);
+    const BatteryChemistry lfp = BatteryChemistry::lithiumIronPhosphate();
+    const BatteryChemistry conservative = conservativeChemistry();
+    const std::vector<BatchLaneConfig> configs =
+        frozenLanes(t, lfp, conservative);
+    const std::vector<Aggregates> table = readLaneTable();
+    ASSERT_EQ(table.size(), configs.size()) << laneTablePath();
+
+    std::vector<size_t> rows;
+    std::vector<BatchLaneConfig> plain;
+    for (size_t i = 0; i < configs.size(); ++i) {
+        if (isPlainLane(configs[i], peakOf(t.load))) {
+            rows.push_back(i);
+            plain.push_back(configs[i]);
+        }
+    }
+    ASSERT_GE(plain.size(), 3u);
+
+    const BatchedSimulationEngine engine(t.load, t.solar_shape,
+                                         t.wind_shape, &t.intensity);
+    const auto &c_plain = obs::counter("sim.plain_batch_runs");
+    const uint64_t before = c_plain.value();
+    const std::vector<BatchLaneResult> results = runTogether(engine, plain);
+    EXPECT_EQ(c_plain.value(), before + 1);
+    for (size_t k = 0; k < rows.size(); ++k) {
+        SCOPED_TRACE("table row " + std::to_string(rows[k]));
+        expectBitIdentical(aggregatesOf(results[k]), table[rows[k]]);
+    }
+}
+
+TEST(BatchedEngine, PlainPathMatchesGeneralPathOnRandomLanes)
+{
+    // Traces with the edge hours the plain loop's selects must get
+    // right: a -0.0 load hour, and hours where a wind-only lane's
+    // supply equals the load exactly.
+    SyntheticTraces t = makeTraces(0x9A1A);
+    t.load[0] = -0.0;
+    for (size_t h = 1; h < t.load.size(); h += 5) {
+        t.load[h] = 10.0;
+        t.wind_shape[h] = 0.5;
+        t.solar_shape[h] = 0.0;
+    }
+    const double peak = peakOf(t.load);
+    const BatteryChemistry lfp = BatteryChemistry::lithiumIronPhosphate();
+
+    BatchLaneConfig battery;
+    battery.solar_mw = MegaWatts(10.0);
+    battery.wind_mw = MegaWatts(10.0);
+    battery.capacity_cap_mw = MegaWatts(peak);
+    battery.chemistry = &lfp;
+    battery.battery_capacity_mwh = MegaWattHours(50.0);
+
+    Rng rng(31, "batched-plain-lanes");
+    std::vector<BatchLaneConfig> lanes;
+    for (size_t i = 0; i < 40; ++i) {
+        BatchLaneConfig lane;
+        lane.solar_mw = MegaWatts(rng.uniform(0.0, 40.0));
+        lane.wind_mw = MegaWatts(rng.uniform(0.0, 40.0));
+        lane.capacity_cap_mw = MegaWatts(
+            rng.bernoulli(0.3) ? peak : peak * rng.uniform(1.0, 1.5));
+        lanes.push_back(lane);
+    }
+    // A zero-supply lane, and a wind-only lane whose supply equals
+    // the load in every fifth hour (0.5 x 20 == 10).
+    BatchLaneConfig dark;
+    dark.capacity_cap_mw = MegaWatts(peak);
+    lanes.push_back(dark);
+    BatchLaneConfig exact = dark;
+    exact.wind_mw = MegaWatts(20.0);
+    lanes.push_back(exact);
+
+    const BatchedSimulationEngine engine(t.load, t.solar_shape,
+                                         t.wind_shape, &t.intensity);
+    expectPlainMatchesGeneral(engine, lanes, battery);
+
+    // The same lanes without an intensity series (carbon stays 0).
+    const BatchedSimulationEngine no_intensity(t.load, t.solar_shape,
+                                               t.wind_shape);
+    expectPlainMatchesGeneral(no_intensity, lanes, battery);
+
+    // An all-zero load trace: peak 0, every lane's cap 0 or above.
+    const TimeSeries zero_load(kYear, 0.0);
+    const BatchedSimulationEngine idle(zero_load, t.solar_shape,
+                                       t.wind_shape, &t.intensity);
+    std::vector<BatchLaneConfig> idle_lanes = lanes;
+    idle_lanes.back().capacity_cap_mw = MegaWatts(0.0);
+    battery.capacity_cap_mw = MegaWatts(0.0);
+    expectPlainMatchesGeneral(idle, idle_lanes, battery);
+}
+
+TEST(BatchedEngine, CapInsideTheSlackTakesTheGeneralPath)
+{
+    // A cap just below the peak passes validation (the slack absorbs
+    // rounding in derived caps), but mandatory work can then exceed
+    // it and queue backlog, which only the general step models.
+    const SyntheticTraces t = makeTraces(0x51AC);
+    const double peak = peakOf(t.load);
+
+    BatchLaneConfig lane;
+    lane.solar_mw = MegaWatts(10.0);
+    lane.wind_mw = MegaWatts(5.0);
+    lane.capacity_cap_mw = MegaWatts(peak - 0.5 * kCapacityCapSlackMw);
+    ASSERT_LT(lane.capacity_cap_mw.value(), peak);
+
+    const BatchedSimulationEngine engine(t.load, t.solar_shape,
+                                         t.wind_shape, &t.intensity);
+    const auto &c_plain = obs::counter("sim.plain_batch_runs");
+    const uint64_t before = c_plain.value();
+    const BatchLaneResult r = runTogether(engine, {lane})[0];
+    EXPECT_EQ(c_plain.value(), before);
+    EXPECT_GT(r.slo_violation_mwh.value(), 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -113,27 +113,6 @@ CsvTable::numericCell(size_t row, size_t col) const
     return out;
 }
 
-size_t
-CsvTable::columnIndex(const std::string &name) const
-{
-    for (size_t i = 0; i < header_.size(); ++i) {
-        if (header_[i] == name)
-            return i;
-    }
-    throw UserError("CSV column not found: " + name);
-}
-
-std::vector<double>
-CsvTable::numericColumn(const std::string &name) const
-{
-    const size_t col = columnIndex(name);
-    std::vector<double> out;
-    out.reserve(rows_.size());
-    for (size_t r = 0; r < rows_.size(); ++r)
-        out.push_back(numericCell(r, col));
-    return out;
-}
-
 void
 CsvTable::write(std::ostream &os) const
 {

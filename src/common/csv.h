@@ -40,12 +40,6 @@ class CsvTable
     /** Parse the cell as a double. @throws UserError on non-numeric. */
     double numericCell(size_t row, size_t col) const;
 
-    /** Column index by name. @throws UserError when absent. */
-    size_t columnIndex(const std::string &name) const;
-
-    /** Entire column parsed as doubles. */
-    std::vector<double> numericColumn(const std::string &name) const;
-
     /** Serialize to a stream, RFC-4180 style quoting where needed. */
     void write(std::ostream &os) const;
 

@@ -1,9 +1,9 @@
 #include "result_cache.h"
 
-#include <cstring>
+#include <bit>
 #include <filesystem>
-#include <fstream>
 
+#include "common/column_log.h"
 #include "common/error.h"
 #include "common/fnv.h"
 #include "common/counters.h"
@@ -15,26 +15,9 @@ namespace carbonx
 namespace
 {
 
-constexpr char kFileMagic[8] = {'C', 'X', 'R', 'C', 'A', 'C', 'H', 'E'};
+constexpr column_log::Magic kFileMagic = {'C', 'X', 'R', 'C',
+                                          'A', 'C', 'H', 'E'};
 constexpr uint32_t kBlockMagic = 0x434b4c42u; // "BLKC" little-endian.
-
-/** Append a trivially copyable value to a byte buffer. */
-template <typename T>
-void
-put(std::string &buf, const T &value)
-{
-    const char *raw = reinterpret_cast<const char *>(&value);
-    buf.append(raw, sizeof(T));
-}
-
-/** Read a trivially copyable value; false on short read. */
-template <typename T>
-bool
-get(std::istream &is, T &value)
-{
-    return static_cast<bool>(
-        is.read(reinterpret_cast<char *>(&value), sizeof(T)));
-}
 
 } // namespace
 
@@ -103,149 +86,62 @@ ResultCache::insert(const Key &key, const double *payload)
 void
 ResultCache::load()
 {
-    std::ifstream is(path_, std::ios::binary);
-    if (!is.is_open())
+    column_log::Reader reader(path_);
+    if (!reader.isOpen())
         return; // New cache; nothing on disk yet.
-    is.seekg(0, std::ios::end);
-    const uint64_t file_size = static_cast<uint64_t>(is.tellg());
-    is.seekg(0, std::ios::beg);
 
     const auto fail = [&](const std::string &why) {
         counter("result_cache.rebuilds").increment();
         rebuild_reason_ = why;
-        rewrite_needed_ = true;
-        truncate_needed_ = false;
-        coords_.clear();
-        payloads_.clear();
-        index_.clear();
-        loaded_from_disk_ = 0;
-        flushed_records_ = 0;
-        good_prefix_bytes_ = 0;
         warn("result cache " + path_ + " discarded (" + why +
              "); rebuilding from scratch");
     };
 
-    // --- Header ---------------------------------------------------
-    char magic[8];
-    uint32_t version = 0;
-    uint32_t width = 0;
-    uint64_t digest = 0;
-    uint32_t prov_size = 0;
-    uint32_t reserved = 0;
-    if (!is.read(magic, sizeof(magic)) || !get(is, version) ||
-        !get(is, width) || !get(is, digest) || !get(is, prov_size) ||
-        !get(is, reserved)) {
-        return fail("truncated header");
-    }
-    if (std::memcmp(magic, kFileMagic, sizeof(magic)) != 0)
-        return fail("bad magic");
-    // An oversized provenance length is itself corruption; bound it
-    // before allocating.
-    if (prov_size > (1u << 20))
-        return fail("implausible provenance size");
-    std::string prov(prov_size, '\0');
-    if (prov_size > 0 && !is.read(prov.data(), prov_size))
-        return fail("truncated provenance");
-    uint64_t expected = kFnvOffsetBasis;
-    expected = fnv1a64Bytes(magic, sizeof(magic), expected);
-    expected = fnv1a64Bytes(&version, sizeof(version), expected);
-    expected = fnv1a64Bytes(&width, sizeof(width), expected);
-    expected = fnv1a64Bytes(&digest, sizeof(digest), expected);
-    expected = fnv1a64Bytes(&prov_size, sizeof(prov_size), expected);
-    expected = fnv1a64Bytes(&reserved, sizeof(reserved), expected);
-    expected = fnv1a64Bytes(prov.data(), prov.size(), expected);
-    uint64_t header_digest = 0;
-    if (!get(is, header_digest))
-        return fail("truncated header digest");
-    if (header_digest != expected)
-        return fail("header digest mismatch");
-    if (version != kFormatVersion)
-        return fail("format version " + std::to_string(version) +
+    column_log::Header header;
+    const column_log::Status status = reader.readHeader(kFileMagic, header);
+    if (status != column_log::Status::Ok)
+        return fail(column_log::describe(status));
+    if (header.version != kFormatVersion)
+        return fail("format version " + std::to_string(header.version) +
                     " != " + std::to_string(kFormatVersion));
-    if (width != payload_width_)
-        return fail("payload width " + std::to_string(width) + " != " +
-                    std::to_string(payload_width_));
-    if (digest != config_digest_)
+    if (header.columns != payload_width_)
+        return fail("payload width " + std::to_string(header.columns) +
+                    " != " + std::to_string(payload_width_));
+    if (header.config_digest != config_digest_)
         return fail("config digest mismatch");
-    provenance_ = std::move(prov);
+    provenance_ = std::move(header.provenance);
     rewrite_needed_ = false;
-    good_prefix_bytes_ = static_cast<uint64_t>(is.tellg());
 
-    // --- Blocks ---------------------------------------------------
-    const size_t doubles_per_record = kKeyWidth + payload_width_;
-    while (true) {
-        uint32_t block_magic = 0;
-        uint32_t count = 0;
-        if (!get(is, block_magic)) {
-            if (is.eof())
-                break; // Clean end of file.
-            truncate_needed_ = true;
-            rebuild_reason_ = "unreadable block header";
-            break;
+    // Columnar within a block: key columns first, then payload
+    // columns, each `rows` cells long.
+    const size_t columns = kKeyWidth + payload_width_;
+    std::vector<uint64_t> cells;
+    column_log::Status block;
+    while ((block = reader.nextBlock(kBlockMagic,
+                                     static_cast<uint32_t>(columns),
+                                     cells)) == column_log::Status::Ok) {
+        const size_t rows = cells.size() / columns;
+        for (size_t r = 0; r < rows; ++r) {
+            Key key;
+            for (size_t c = 0; c < kKeyWidth; ++c)
+                key[c] = std::bit_cast<double>(cells[c * rows + r]);
+            index_.emplace(keyHash(key),
+                           static_cast<uint32_t>(coords_.size()));
+            coords_.push_back(key);
+            for (size_t c = kKeyWidth; c < columns; ++c)
+                payloads_.push_back(
+                    std::bit_cast<double>(cells[c * rows + r]));
         }
-        if (block_magic != kBlockMagic || !get(is, count) || count == 0) {
-            truncate_needed_ = true;
-            rebuild_reason_ = "bad block header";
-            break;
-        }
-        const size_t data_doubles =
-            static_cast<size_t>(count) * doubles_per_record;
-        // A corrupted count would otherwise size a huge allocation;
-        // the block (plus its digest) must fit in the bytes left.
-        const uint64_t pos = static_cast<uint64_t>(is.tellg());
-        if (data_doubles * sizeof(double) + sizeof(uint64_t) >
-            file_size - pos) {
-            truncate_needed_ = true;
-            rebuild_reason_ = "block larger than file";
-            break;
-        }
-        std::vector<double> data(data_doubles);
-        uint64_t block_digest = 0;
-        if (!is.read(reinterpret_cast<char *>(data.data()),
-                     static_cast<std::streamsize>(data_doubles *
-                                                  sizeof(double))) ||
-            !get(is, block_digest)) {
-            truncate_needed_ = true;
-            rebuild_reason_ = "truncated block";
-            break;
-        }
-        uint64_t want = kFnvOffsetBasis;
-        want = fnv1a64Bytes(&block_magic, sizeof(block_magic), want);
-        want = fnv1a64Bytes(&count, sizeof(count), want);
-        want = fnv1a64Bytes(data.data(), data_doubles * sizeof(double),
-                            want);
-        if (block_digest != want) {
-            truncate_needed_ = true;
-            rebuild_reason_ = "block digest mismatch";
-            break;
-        }
-        // Columnar within the block: key columns first, then payload
-        // columns, each a contiguous double[count].
-        const size_t base = coords_.size();
-        coords_.resize(base + count);
-        payloads_.resize((base + count) * payload_width_);
-        for (size_t c = 0; c < kKeyWidth; ++c) {
-            const double *col = data.data() + c * count;
-            for (size_t r = 0; r < count; ++r)
-                coords_[base + r][c] = col[r];
-        }
-        for (size_t p = 0; p < payload_width_; ++p) {
-            const double *col = data.data() + (kKeyWidth + p) * count;
-            for (size_t r = 0; r < count; ++r)
-                payloads_[(base + r) * payload_width_ + p] = col[r];
-        }
-        for (size_t r = 0; r < count; ++r) {
-            index_.emplace(keyHash(coords_[base + r]),
-                           static_cast<uint32_t>(base + r));
-        }
-        good_prefix_bytes_ = static_cast<uint64_t>(is.tellg());
     }
+    good_prefix_bytes_ = reader.validBytes();
     loaded_from_disk_ = coords_.size();
     flushed_records_ = coords_.size();
     counter("result_cache.records_loaded").increment(loaded_from_disk_);
-    if (truncate_needed_) {
-        // One corrupt tail per load at most: the scan stops at the
-        // first block whose digest fails.
+    if (block != column_log::Status::End) {
+        // One corrupt tail per load at most: the reader stops at the
+        // first bad block.
+        truncate_needed_ = true;
+        rebuild_reason_ = column_log::describe(block);
         counter("result_cache.corrupt_blocks").increment();
         warn("result cache " + path_ + " has a corrupt tail (" +
              rebuild_reason_ + "); kept " +
@@ -255,73 +151,16 @@ ResultCache::load()
 }
 
 void
-ResultCache::writeFreshFile()
-{
-    std::string buf;
-    put(buf, kFileMagic);
-    put(buf, kFormatVersion);
-    put(buf, payload_width_);
-    put(buf, config_digest_);
-    const auto prov_size = static_cast<uint32_t>(provenance_.size());
-    put(buf, prov_size);
-    const uint32_t reserved = 0;
-    put(buf, reserved);
-    buf += provenance_;
-    put(buf, fnv1a64Bytes(buf.data(), buf.size()));
-
-    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
-    require(os.is_open(),
-            "cannot write result cache file " + path_);
-    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    os.flush();
-    require(os.good(), "result cache write failed: " + path_);
-    good_prefix_bytes_ = buf.size();
-    flushed_records_ = 0;
-    rewrite_needed_ = false;
-    truncate_needed_ = false;
-}
-
-void
-ResultCache::appendBlock(size_t first, size_t count)
-{
-    std::string data;
-    data.reserve(count * (kKeyWidth + payload_width_) * sizeof(double));
-    for (size_t c = 0; c < kKeyWidth; ++c) {
-        for (size_t r = 0; r < count; ++r)
-            put(data, coords_[first + r][c]);
-    }
-    for (size_t p = 0; p < payload_width_; ++p) {
-        for (size_t r = 0; r < count; ++r)
-            put(data, payloads_[(first + r) * payload_width_ + p]);
-    }
-
-    std::string block;
-    put(block, kBlockMagic);
-    put(block, static_cast<uint32_t>(count));
-    block += data;
-    uint64_t digest = kFnvOffsetBasis;
-    digest = fnv1a64Bytes(block.data(), block.size(), digest);
-    put(block, digest);
-
-    std::ofstream os(path_,
-                     std::ios::binary | std::ios::in | std::ios::out);
-    require(os.is_open(), "cannot append to result cache " + path_);
-    os.seekp(static_cast<std::streamoff>(good_prefix_bytes_));
-    os.write(block.data(), static_cast<std::streamsize>(block.size()));
-    os.flush();
-    require(os.good(), "result cache append failed: " + path_);
-    good_prefix_bytes_ += block.size();
-    counter("result_cache.blocks_appended").increment();
-    counter("result_cache.records_appended").increment(count);
-}
-
-void
 ResultCache::flush()
 {
     if (rewrite_needed_) {
         if (coords_.empty() && rebuild_reason_.empty())
             return; // Nothing to persist, nothing to repair.
-        writeFreshFile();
+        good_prefix_bytes_ = column_log::writeHeader(
+            path_, {kFileMagic, kFormatVersion, payload_width_,
+                    config_digest_, provenance_});
+        flushed_records_ = 0;
+        rewrite_needed_ = false;
     } else if (truncate_needed_) {
         // Drop the corrupt tail so the next append lands right after
         // the last valid block.
@@ -331,10 +170,28 @@ ResultCache::flush()
                          path_ + " (" + ec.message() + ")");
         truncate_needed_ = false;
     }
-    if (flushed_records_ == coords_.size())
+    const size_t first = flushed_records_;
+    const size_t count = coords_.size() - first;
+    if (count == 0)
         return;
-    appendBlock(flushed_records_, coords_.size() - flushed_records_);
+    // One block: the key columns, then the payload columns.
+    std::vector<uint64_t> cells;
+    cells.reserve(count * (kKeyWidth + payload_width_));
+    for (size_t c = 0; c < kKeyWidth; ++c) {
+        for (size_t r = first; r < coords_.size(); ++r)
+            cells.push_back(std::bit_cast<uint64_t>(coords_[r][c]));
+    }
+    for (size_t p = 0; p < payload_width_; ++p) {
+        for (size_t r = first; r < coords_.size(); ++r)
+            cells.push_back(
+                std::bit_cast<uint64_t>(payloads_[r * payload_width_ + p]));
+    }
+    good_prefix_bytes_ += column_log::writeBlock(
+        path_, good_prefix_bytes_, kBlockMagic,
+        static_cast<uint32_t>(count), cells);
     flushed_records_ = coords_.size();
+    counter("result_cache.blocks_appended").increment();
+    counter("result_cache.records_appended").increment(count);
 }
 
 } // namespace carbonx

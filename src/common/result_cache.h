@@ -11,30 +11,22 @@
  * provenance layer) plus the point's coordinates, and any later run
  * with the same digest reuses the stored payload bit-for-bit.
  *
- * File format (host endianness, fixed-width fields):
- *
- *   header:  magic "CXRCACHE" | u32 version | u32 payload_width
- *            | u64 config_digest | u32 provenance_size | u32 reserved
- *            | provenance bytes | u64 header_digest (FNV-1a over all
- *            preceding bytes)
- *   blocks:  u32 block_magic | u32 record_count
- *            | key columns  (4 x double[record_count])
- *            | payload columns (payload_width x double[record_count])
- *            | u64 block_digest (FNV-1a over magic, count, columns)
- *
- * Within a block the layout is columnar — every column is one
- * contiguous double array, so an mmap of the file can stride through
+ * The file is a column log (common/column_log.h) with magic
+ * "CXRCACHE", whose header column word holds the payload width; each
+ * block holds the 4 key columns, then the payload columns. A column
+ * is one contiguous run of doubles, so a reader can stride through
  * any single column without touching the rest. Appends happen a
- * whole block at a time (one buffered write + flush per checkpoint),
- * which is what makes interrupted sweeps resumable: a crash mid-
- * append leaves a truncated tail block that the next open detects by
- * digest and drops, keeping every fully flushed record.
+ * whole block at a time (one write + flush per checkpoint), which is
+ * what makes interrupted sweeps resumable: a crash mid-append leaves
+ * a damaged tail block that the next open detects and drops, keeping
+ * every fully flushed record.
  *
  * Corruption policy: any header mismatch (magic, version, digest,
  * payload width, config digest) rebuilds the cache from empty; any
- * bad block drops that block and everything after it. Both paths are
- * detected by digest, reported via rebuildReason(), and never crash
- * or silently serve stale data.
+ * bad block, a 1-3 byte tail included, drops that block and
+ * everything after it and is cut off on the next flush. Both paths
+ * are reported via rebuildReason(), and never crash or silently
+ * serve stale data.
  *
  * Not thread-safe: the sweep drivers call it only from the
  * coordinating thread, between parallel evaluation waves.
@@ -126,8 +118,6 @@ class ResultCache
 
   private:
     void load();
-    void writeFreshFile();
-    void appendBlock(size_t first, size_t count);
     uint64_t keyHash(const Key &key) const;
     /** find() without the hit/miss telemetry (used by insert()). */
     const double *lookup(const Key &key) const;

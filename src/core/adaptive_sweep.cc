@@ -435,7 +435,8 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
     // simulated waves carry PointAnnotations so the evaluator's rows
     // record the triage verdict plus the prediction behind it. A
     // revived point therefore journals twice — Skipped when pruned,
-    // ReArmed when the inflated margins bring it back — so readers
+    // ReArmed when the inflated margins bring it back (or a CacheHit
+    // carrying that margin when the cache serves it) — so readers
     // can replay the margin-inflation history.
     std::vector<SweepBatchEvaluator::PointAnnotation> wave_ann;
     const auto annotationsFor =

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "carbon/operational.h"
 #include "common/error.h"
@@ -46,10 +47,32 @@ makeGridTrace(const ExplorerConfig &config)
     return synth.synthesize(config.year);
 }
 
-/** Wrap external traces in a GridTrace (mix/demand left empty). */
+/**
+ * Wrap external traces in a GridTrace (mix/demand left empty). Traces
+ * built in code meet fromCsv's rules here: one year, every hour finite
+ * and >= 0, so no NaN or negative intensity reaches the carbon sums.
+ */
 GridTrace
 traceFromExternal(const ExternalTraces &traces)
 {
+    require(traces.dc_power.year() == traces.intensity.year() &&
+                traces.dc_power.year() == traces.solar_shape.year() &&
+                traces.dc_power.year() == traces.wind_shape.year(),
+            "external traces must cover the same year");
+    for (const auto &[name, series] :
+         {std::pair{"dc_power", &traces.dc_power},
+          std::pair{"solar_shape", &traces.solar_shape},
+          std::pair{"wind_shape", &traces.wind_shape},
+          std::pair{"intensity", &traces.intensity}}) {
+        for (size_t h = 0; h < series->size(); ++h) {
+            const double v = (*series)[h];
+            if (!std::isfinite(v) || v < 0.0)
+                throw UserError("external trace " + std::string(name) +
+                                " must hold finite values >= 0, but "
+                                "hour " + std::to_string(h) + " is " +
+                                std::to_string(v));
+        }
+    }
     GridTrace trace(traces.dc_power.year());
     trace.intensity = traces.intensity;
     trace.solar_potential = traces.solar_shape;
@@ -67,7 +90,14 @@ TimeSeries
 traceColumn(const CsvTable &csv, const std::string &path,
             const std::string &column, int year)
 {
-    const size_t col = csv.columnIndex(column);
+    const std::vector<std::string> &names = csv.header();
+    const auto it = std::find(names.begin(), names.end(), column);
+    std::string found;
+    for (const std::string &name : names)
+        found += (found.empty() ? "" : ", ") + name;
+    require(it != names.end(), "trace CSV " + path + " has no column " +
+                                   column + " (found: " + found + ")");
+    const auto col = static_cast<size_t>(it - names.begin());
     std::vector<double> values(csv.numRows());
     for (size_t r = 0; r < values.size(); ++r) {
         double value = std::numeric_limits<double>::quiet_NaN();
@@ -145,10 +175,6 @@ CarbonExplorer::CarbonExplorer(ExplorerConfig config,
     require(config_.flexible_ratio.value() >= 0.0 &&
                 config_.flexible_ratio.value() <= 1.0,
             "flexible ratio must be in [0, 1]");
-    require(traces.dc_power.year() == traces.intensity.year() &&
-                traces.dc_power.year() == traces.solar_shape.year() &&
-                traces.dc_power.year() == traces.wind_shape.year(),
-            "external traces must cover the same year");
 }
 
 uint64_t
@@ -483,7 +509,9 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
     // Serial cache pass on the coordinating thread; the cache needs
     // no locking because workers never touch it. Cache replays are
     // journaled here (worker 0, no wave of their own): the cached
-    // total is the "actual", there was never a prediction.
+    // total is the "actual", there was never a prediction. A revived
+    // point keeps the margin that revived it, so its replay still
+    // cancels its skip row (obs::isRevival).
     std::vector<size_t> misses;
     misses.reserve(count);
     {
@@ -502,7 +530,11 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
                     row.verdict = obs::DecisionVerdict::CacheHit;
                     row.predicted_kg = kJournalNan;
                     row.actual_kg = out[i].totalKg().value();
-                    row.margin_kg = kJournalNan;
+                    row.margin_kg = annotations_ != nullptr &&
+                            annotations_[i].verdict ==
+                                obs::DecisionVerdict::ReArmed
+                        ? annotations_[i].margin_kg
+                        : kJournalNan;
                     row.ts_us = ts;
                     journal->sink(0).record(row);
                 }

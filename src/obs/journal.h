@@ -14,16 +14,8 @@
  * per-worker utilization; tests reconcile its rows against the
  * `sweep.*` metrics exactly.
  *
- * File format (host endianness, fixed-width fields — the same
- * binary-block + FNV-digest discipline as common/result_cache):
- *
- *   header:  magic "CXJORNAL" | u32 version | u32 column_count
- *            | u64 config_digest | u32 provenance_size | u32 reserved
- *            | provenance bytes | u64 header_digest (FNV-1a over all
- *            preceding bytes)
- *   blocks:  u32 block_magic | u32 record_count
- *            | 9 columns x record_count x 8 bytes (columnar)
- *            | u64 block_digest (FNV-1a over magic, count, columns)
+ * The file is a column log (common/column_log.h) with magic
+ * "CXJORNAL" and kColumns columns of 8-byte cells.
  *
  * Column order: point_id, wave, worker, lane, verdict (all u64),
  * predicted_kg, actual_kg, margin_kg (f64; NaN = not applicable),
@@ -37,10 +29,10 @@
  * counting-operator-new test), and flush() drains sinks in worker
  * order so the file contents are deterministic at any thread count.
  *
- * Corruption policy mirrors the result cache: the reader verifies
- * the header digest (corrupt header = no trustworthy rows = Error),
- * and keeps the clean prefix of blocks, reporting why the tail was
- * dropped — a crash mid-append never loses flushed decisions.
+ * Corruption policy: a corrupt header means no trustworthy rows, so
+ * readJournal throws Error; otherwise it keeps the clean prefix of
+ * blocks and reports why the tail was dropped — a crash mid-append
+ * never loses flushed decisions.
  */
 
 #ifndef CARBONX_OBS_JOURNAL_H
@@ -64,7 +56,8 @@ enum class DecisionVerdict : uint8_t
     Interpolated = 1,
     /** Pruned: margin-padded prediction was provably non-optimal. */
     Skipped = 2,
-    /** Replayed bit-for-bit from the persistent result cache. */
+    /** Replayed bit-for-bit from the persistent result cache; has a
+     *  margin only when a margin inflation revived the point. */
     CacheHit = 3,
     /** Previously skipped, revived by a margin inflation, simulated. */
     ReArmed = 4,
@@ -94,6 +87,12 @@ struct DecisionRow
     double margin_kg = 0.0;    ///< Margin at decision time (NaN: none).
     uint64_t ts_us = 0;        ///< Monotonic, since journal creation.
 };
+
+/**
+ * True when @p row revives a skipped point: a re_armed row, or a
+ * cache_hit row with a margin (a revived point the cache served).
+ */
+bool isRevival(const DecisionRow &row);
 
 /** The journal point id of a design point's four coordinates. */
 uint64_t decisionPointId(const std::array<double, 4> &coords);
@@ -193,14 +192,12 @@ class DecisionJournal
     uint64_t configDigest() const { return config_digest_; }
 
   private:
-    void writeHeader();
-
     std::string path_;
     uint64_t config_digest_ = 0;
-    std::string provenance_;
     std::chrono::steady_clock::time_point epoch_;
     std::vector<Sink> sinks_;
-    std::vector<DecisionRow> staged_; ///< Flush scratch (reused).
+    std::vector<uint64_t> cells_; ///< Flush scratch (reused).
+    uint64_t file_bytes_ = 0;     ///< Where the next block goes.
     size_t flushed_rows_ = 0;
     uint32_t wave_base_ = 0;
 };

@@ -45,24 +45,6 @@ TEST(Csv, QuotedCellsWithCommasAndQuotes)
     EXPECT_EQ(back.cell(0, 1), "wind \"lulls\" matter");
 }
 
-TEST(Csv, NumericColumnExtraction)
-{
-    CsvTable t({"a", "b"});
-    t.addNumericRow({1, 10});
-    t.addNumericRow({2, 20});
-    const std::vector<double> col = t.numericColumn("b");
-    ASSERT_EQ(col.size(), 2u);
-    EXPECT_DOUBLE_EQ(col[0], 10.0);
-    EXPECT_DOUBLE_EQ(col[1], 20.0);
-}
-
-TEST(Csv, ColumnIndexLookup)
-{
-    CsvTable t({"x", "y", "z"});
-    EXPECT_EQ(t.columnIndex("z"), 2u);
-    EXPECT_THROW(t.columnIndex("w"), UserError);
-}
-
 TEST(Csv, RejectsWidthMismatch)
 {
     CsvTable t({"a", "b"});

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/csv.h"
@@ -81,6 +83,46 @@ TEST(ExternalTraces, RejectsMismatchedYears)
         CarbonExplorer(baseConfig(),
                        ExternalTraces(load, other, other, other)),
         UserError);
+}
+
+TEST(ExternalTraces, RejectsNegativeAndNonFiniteHoursBuiltInCode)
+{
+    // Traces built in code skip fromCsv's checks; the explorer must
+    // refuse them instead of returning operational_kg = nan.
+    ExternalTraces traces = syntheticTraces();
+    traces.intensity[5] = -1e6;
+    traces.intensity[6] = std::nan("");
+    try {
+        const CarbonExplorer explorer(baseConfig(), traces);
+        FAIL() << "expected a UserError";
+    } catch (const UserError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("intensity"), std::string::npos) << what;
+        EXPECT_NE(what.find("hour 5 "), std::string::npos) << what;
+    }
+
+    const std::pair<const char *, TimeSeries ExternalTraces::*> series[] = {
+        {"dc_power", &ExternalTraces::dc_power},
+        {"solar_shape", &ExternalTraces::solar_shape},
+        {"wind_shape", &ExternalTraces::wind_shape}};
+    for (const auto &[name, member] : series) {
+        for (const double value :
+             {-1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+            SCOPED_TRACE(std::string(name) + " = " +
+                         std::to_string(value));
+            ExternalTraces t = syntheticTraces();
+            (t.*member)[8000] = value;
+            try {
+                const CarbonExplorer explorer(baseConfig(), t);
+                FAIL() << "expected a UserError";
+            } catch (const UserError &e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find(name), std::string::npos) << what;
+                EXPECT_NE(what.find("hour 8000 "), std::string::npos)
+                    << what;
+            }
+        }
+    }
 }
 
 TEST(ExternalTraces, RejectsNonPerUnitShapes)
@@ -186,6 +228,19 @@ TEST(ExternalTraces, CsvRowCountErrorNamesTheFile)
     csv.addNumericRow({1.0, 2.0, 3.0, 4.0});
     csv.writeFile(path);
     expectCsvError(path, {path, "8760", "not 2"});
+}
+
+TEST(ExternalTraces, CsvMissingColumnErrorNamesTheFileAndColumns)
+{
+    const std::string path =
+        testing::TempDir() + "/carbonx_no_wind_column.csv";
+    CsvTable csv({"dc_power_mw", "solar_mw", "intensity_g_per_kwh"});
+    const HourlyCalendar cal(kYear);
+    for (size_t h = 0; h < cal.hoursInYear(); ++h)
+        csv.addNumericRow({25.0, 100.0, 400.0});
+    csv.writeFile(path);
+    expectCsvError(path, {path, "wind_mw",
+                          "dc_power_mw, solar_mw, intensity_g_per_kwh"});
 }
 
 TEST(ExternalTraces, CsvRejectsNegativeAndNonFiniteValues)

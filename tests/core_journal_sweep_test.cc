@@ -75,6 +75,30 @@ countVerdict(const std::vector<obs::DecisionRow> &rows,
     return n;
 }
 
+/**
+ * The three reconciliation identities of DESIGN §15: simulated rows
+ * vs simulated points, skips no revival cancels vs the stats' skip
+ * count, replays vs cache hits.
+ */
+void
+expectReconciles(const obs::JournalData &data,
+                 const AdaptiveSweepStats &st)
+{
+    size_t revived = 0;
+    for (const obs::DecisionRow &row : data.rows)
+        revived += obs::isRevival(row) ? 1 : 0;
+    EXPECT_EQ(countVerdict(data.rows, obs::DecisionVerdict::Evaluated) +
+                  countVerdict(data.rows,
+                               obs::DecisionVerdict::Interpolated) +
+                  countVerdict(data.rows, obs::DecisionVerdict::ReArmed),
+              st.simulated_points);
+    EXPECT_EQ(countVerdict(data.rows, obs::DecisionVerdict::Skipped) -
+                  revived,
+              st.points_skipped);
+    EXPECT_EQ(countVerdict(data.rows, obs::DecisionVerdict::CacheHit),
+              st.cache_hits);
+}
+
 TEST(JournalSweep, ExhaustiveSweepJournalsEveryPointBitExactly)
 {
     const std::string path = tempPath("journal_sweep_exhaustive.cxj");
@@ -261,6 +285,62 @@ TEST(JournalSweep, CacheReplayJournalsCacheHitRows)
         EXPECT_TRUE(std::isfinite(row.actual_kg));
         EXPECT_TRUE(std::isnan(row.predicted_kg));
     }
+    std::remove(cache_path.c_str());
+    std::remove(journal_path.c_str());
+}
+
+TEST(JournalSweep, WarmReplayOfRevivedPointsKeepsTheIdentities)
+{
+    const std::string cache_path = tempPath("journal_sweep_warm.cxrc");
+    const std::string journal_path = tempPath("journal_sweep_warm.cxj");
+    std::remove(cache_path.c_str());
+    // A lattice whose coarse audit inflates the margins once and
+    // revives skipped points.
+    const DesignSpace space = DesignSpace::forDatacenter(19.0, 6.0, 7, 5, 3);
+    CarbonExplorer explorer(ercoConfig());
+    const uint64_t digest =
+        explorer.configDigest(Strategy::RenewablesOnly);
+
+    const auto run = [&](AdaptiveSweepStats &stats) {
+        std::remove(journal_path.c_str());
+        SweepResultCache cache(cache_path, digest);
+        obs::DecisionJournal journal(journal_path, digest);
+        explorer.setSweepCache(&cache);
+        explorer.setJournal(&journal);
+        stats = AdaptiveSweeper(explorer)
+                    .sweep(space, Strategy::RenewablesOnly)
+                    .stats;
+        explorer.setJournal(nullptr);
+        explorer.setSweepCache(nullptr);
+        journal.flush();
+        return obs::readJournal(journal_path);
+    };
+
+    AdaptiveSweepStats cold_stats;
+    const obs::JournalData cold = run(cold_stats);
+    ASSERT_GT(cold_stats.margin_inflations, 0u);
+    const size_t re_armed =
+        countVerdict(cold.rows, obs::DecisionVerdict::ReArmed);
+    ASSERT_GT(re_armed, 0u);
+    expectReconciles(cold, cold_stats);
+
+    // The warm run replays every point, the revived ones included:
+    // each revival is now a cache_hit row carrying its margin.
+    AdaptiveSweepStats warm_stats;
+    const obs::JournalData warm = run(warm_stats);
+    EXPECT_EQ(warm_stats.simulated_points, 0u);
+    EXPECT_EQ(warm_stats.points_skipped, cold_stats.points_skipped);
+    EXPECT_EQ(countVerdict(warm.rows, obs::DecisionVerdict::ReArmed), 0u);
+    size_t revived_hits = 0;
+    for (const obs::DecisionRow &row : warm.rows) {
+        if (row.verdict == obs::DecisionVerdict::CacheHit &&
+            obs::isRevival(row)) {
+            ++revived_hits;
+            EXPECT_TRUE(std::isnan(row.predicted_kg));
+        }
+    }
+    EXPECT_EQ(revived_hits, re_armed);
+    expectReconciles(warm, warm_stats);
     std::remove(cache_path.c_str());
     std::remove(journal_path.c_str());
 }

@@ -51,8 +51,8 @@ struct InspectReport
     size_t rows = 0;
     std::array<size_t, obs::kDecisionVerdicts> by_verdict{};
     size_t simulated = 0;     ///< evaluated + interpolated + re-armed
-    size_t net_skipped = 0;   ///< skipped - re-armed (never simulated)
-    size_t revived = 0;       ///< re-armed rows
+    size_t net_skipped = 0;   ///< skipped - revived (never simulated)
+    size_t revived = 0;       ///< obs::isRevival rows
     size_t prediction_samples = 0;
     double prediction_abs_err_sum = 0.0;
     double prediction_abs_err_max = 0.0;
@@ -82,7 +82,7 @@ buildReport(const obs::JournalData &data)
             ++rep.by_verdict[v];
         if (isSimulatedVerdict(row.verdict))
             ++rep.simulated;
-        if (row.verdict == obs::DecisionVerdict::ReArmed)
+        if (obs::isRevival(row))
             ++rep.revived;
 
         WaveStats &wave = rep.waves[row.wave];
@@ -97,7 +97,7 @@ buildReport(const obs::JournalData &data)
         wave.ts_first_us = std::min(wave.ts_first_us, row.ts_us);
         wave.ts_last_us = std::max(wave.ts_last_us, row.ts_us);
         if ((row.verdict == obs::DecisionVerdict::Skipped ||
-             row.verdict == obs::DecisionVerdict::ReArmed) &&
+             obs::isRevival(row)) &&
             std::isfinite(row.margin_kg)) {
             wave.skip_margin_sum += row.margin_kg;
             ++wave.skip_margin_count;

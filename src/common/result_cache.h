@@ -78,13 +78,13 @@ class ResultCache
     ~ResultCache();
 
     /**
-     * The stored payload for @p key (payloadWidth() doubles), or
+     * The stored payload for @p key (payload_width doubles), or
      * nullptr on a miss. The pointer is invalidated by insert().
      */
     const double *find(const Key &key) const;
 
     /**
-     * Store @p payload (payloadWidth() doubles) under @p key, buffered
+     * Store @p payload (payload_width doubles) under @p key, buffered
      * until the next flush(). Duplicate keys keep the first payload
      * and return false.
      */
@@ -109,12 +109,7 @@ class ResultCache
      */
     const std::string &rebuildReason() const { return rebuild_reason_; }
 
-    /** Provenance text read from a valid existing file (else ours). */
-    const std::string &provenance() const { return provenance_; }
-
     const std::string &path() const { return path_; }
-    uint64_t configDigest() const { return config_digest_; }
-    uint32_t payloadWidth() const { return payload_width_; }
 
   private:
     void load();

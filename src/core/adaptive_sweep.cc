@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -254,7 +255,27 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
         status->beginPass(pass, coarse_points.size());
     }
 
-    // Evaluate a sorted, unevaluated index list; scatter into evals.
+    // Strict-domination query structure over the evaluated points'
+    // (embodied, operational) pairs, kept as a Pareto staircase:
+    // sorted by embodied, each entry's operational strictly below
+    // every earlier entry's. The lowest operational among pairs with
+    // embodied < e is reached at a staircase entry (a pruned pair has
+    // an earlier kept pair whose operational is no larger), so "does
+    // any evaluated point strictly dominate (e, o)?" is one binary
+    // search, and each evaluation call merges only its own pairs.
+    std::vector<std::pair<double, double>> stairs;
+    const auto strictlyDominated = [&](double e, double o) {
+        const auto it = std::lower_bound(
+            stairs.begin(), stairs.end(), e,
+            [](const std::pair<double, double> &p, double v) {
+                return p.first < v;
+            });
+        return it != stairs.begin() && std::prev(it)->second < o;
+    };
+    double best_total = std::numeric_limits<double>::infinity();
+
+    // Evaluate a sorted, unevaluated index list; scatter into evals,
+    // then fold the fresh points into best_total and the staircase.
     // @p ann, when non-null, annotates the journal rows of this wave
     // (one entry per id, in id order) with the triage verdict and the
     // prediction the decision was based on.
@@ -274,10 +295,24 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
                 evaluator.setPointAnnotations(ann);
             evaluator.evaluate(wave_points.data(), wave_points.size(),
                                wave_out.data(), status);
+            const auto old_end = static_cast<ptrdiff_t>(stairs.size());
             for (size_t k = 0; k < ids.size(); ++k) {
-                evals[ids[k]] = std::move(wave_out[k]);
+                const Evaluation &ev = evals[ids[k]] =
+                    std::move(wave_out[k]);
                 evaluated[ids[k]] = 1;
+                best_total = std::min(best_total, ev.totalKg().value());
+                stairs.emplace_back(ev.embodiedKg().value(),
+                                    ev.operational_kg.value());
             }
+            std::sort(stairs.begin() + old_end, stairs.end());
+            std::inplace_merge(stairs.begin(), stairs.begin() + old_end,
+                               stairs.end());
+            size_t keep = 0;
+            for (const auto &p : stairs) {
+                if (keep == 0 || p.second < stairs[keep - 1].second)
+                    stairs[keep++] = p;
+            }
+            stairs.resize(keep);
         };
     evaluateIndices(coarse_points, nullptr);
 
@@ -287,7 +322,6 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
     double global_spread_total = 0.0;
     double global_spread_embodied = 0.0;
     double global_spread_operational = 0.0;
-    double best_total = std::numeric_limits<double>::infinity();
     {
         double max_total = -std::numeric_limits<double>::infinity();
         double min_e = std::numeric_limits<double>::infinity();
@@ -296,7 +330,6 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
         double max_o = -min_e;
         for (const size_t li : coarse_points) {
             const Evaluation &ev = evals[li];
-            best_total = std::min(best_total, ev.totalKg().value());
             max_total = std::max(max_total, ev.totalKg().value());
             min_e = std::min(min_e, ev.embodiedKg().value());
             max_e = std::max(max_e, ev.embodiedKg().value());
@@ -367,40 +400,6 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
                     pending.push_back(cell);
                 }
     const size_t cells_total = pending.size();
-
-    // Strict-domination query structure over the evaluated points'
-    // (embodied, operational) pairs: sorted by embodied with a prefix
-    // minimum of operational, so "does any evaluated point strictly
-    // dominate (e, o)?" is one binary search.
-    std::vector<std::pair<double, double>> eo;
-    std::vector<double> prefix_min_op;
-    const auto rebuildFrontier = [&]() {
-        eo.clear();
-        for (size_t li = 0; li < total; ++li) {
-            if (evaluated[li] != 0)
-                eo.emplace_back(evals[li].embodiedKg().value(),
-                                evals[li].operational_kg.value());
-        }
-        std::sort(eo.begin(), eo.end());
-        prefix_min_op.resize(eo.size());
-        double running = std::numeric_limits<double>::infinity();
-        for (size_t i = 0; i < eo.size(); ++i) {
-            running = std::min(running, eo[i].second);
-            prefix_min_op[i] = running;
-        }
-    };
-    const auto strictlyDominated = [&](double e, double o) {
-        const auto it = std::lower_bound(
-            eo.begin(), eo.end(), e,
-            [](const std::pair<double, double> &p, double v) {
-                return p.first < v;
-            });
-        if (it == eo.begin())
-            return false;
-        return prefix_min_op[static_cast<size_t>(it - eo.begin()) - 1] <
-               o;
-    };
-    rebuildFrontier();
 
     double inflation = 1.0;
 
@@ -610,10 +609,6 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
             wave_ids,
             annotationsFor(wave_ids,
                            obs::DecisionVerdict::Interpolated));
-        for (const size_t li : wave_ids)
-            best_total =
-                std::min(best_total, evals[li].totalKg().value());
-        rebuildFrontier();
 
         // Audit-and-re-arm loop: any evaluated point undercutting its
         // own prediction makes every standing skip suspect. Double
@@ -655,10 +650,6 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
                 revived,
                 annotationsFor(revived,
                                obs::DecisionVerdict::ReArmed));
-            for (const size_t li : revived)
-                best_total = std::min(best_total,
-                                      evals[li].totalKg().value());
-            rebuildFrontier();
             suspects = revived;
         }
     }

@@ -87,9 +87,7 @@ class SweepResultCache
     {
         return cache_.rebuildReason();
     }
-    const std::string &provenance() const { return cache_.provenance(); }
     const std::string &path() const { return cache_.path(); }
-    uint64_t configDigest() const { return cache_.configDigest(); }
 
     /** The cache key of a design point (its four coordinates). */
     static ResultCache::Key keyFor(const DesignPoint &point);

@@ -430,10 +430,10 @@ namespace
 {
 
 /**
- * Per-worker batch capacity: lanes per batched engine pass. Large
- * enough to amortize one traversal of the hourly trace (and its
- * cache traffic) over many design points, small enough that a wave
- * still splits into several blocks for the thread pool to balance.
+ * Per-worker batch capacity: the most lanes one batched engine pass
+ * takes. Large enough to amortize one traversal of the hourly trace
+ * (and its cache traffic) over many design points, small enough that
+ * a call's misses still split into several waves for the pool.
  */
 constexpr size_t kSweepBatchLanes = 64;
 
@@ -550,21 +550,33 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
             status->addPoints(count - misses.size(), hits_best_kg);
     }
 
-    // Misses shard into fixed-size lane waves: each worker fills its
+    // Misses shard into balanced lane waves: each worker fills its
     // whole wave into its SoA batch and one batched engine pass
     // advances every lane through the hourly trace together. Per-lane
     // supply is evaluated inline from the shared shapes inside the
-    // kernel, so no supply series is ever expanded. Wave order is the
-    // miss order and out-slots are fixed, so the merged results are
-    // bit-identical at any thread count.
+    // kernel, so no supply series is ever expanded. The wave count is
+    // the 64-lane wave count rounded up to a multiple of the workers
+    // (at most one wave per miss), so a call of 64 or fewer misses
+    // still occupies every worker; wave w covers misses
+    // [w*n/waves, (w+1)*n/waves), which never exceeds 64 lanes. Lanes
+    // are independent and out-slots are fixed, so the merged results
+    // are bit-identical at any thread count.
     static auto &g_batch = obs::gauge("sweep.batch_size");
-    g_batch.set(static_cast<double>(kSweepBatchLanes));
+    static auto &g_threads = obs::gauge("sweep.threads");
 
     const CarbonExplorer &ex = explorer_;
     std::vector<SweepWorkspace> &workspaces = workspaces_->per_worker;
     const BatchedSimulationEngine &engine = workspaces_->engine;
-    const size_t waves =
-        (misses.size() + kSweepBatchLanes - 1) / kSweepBatchLanes;
+    const size_t n = misses.size();
+    const size_t workers = std::max<size_t>(threadCount(), 1);
+    const size_t full_waves =
+        (n + kSweepBatchLanes - 1) / kSweepBatchLanes;
+    const size_t waves = std::min(
+        n, (full_waves + workers - 1) / workers * workers);
+    if (waves > 0) {
+        g_batch.set(static_cast<double>((n + waves - 1) / waves));
+        g_threads.set(static_cast<double>(std::min(workers, waves)));
+    }
     // Wave ids are claimed from the journal before the parallel
     // region launches: the journal's counter spans the whole run, so
     // ids stay unique even though every optimize pass constructs a
@@ -575,9 +587,8 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
     parallelFor(0, waves, 1, [&](size_t wave, size_t worker) {
         CARBONX_PROFILE("sweep/run_group");
         SweepWorkspace &ws = workspaces[worker];
-        const size_t i0 = wave * kSweepBatchLanes;
-        const size_t i1 =
-            std::min(misses.size(), i0 + kSweepBatchLanes);
+        const size_t i0 = wave * n / waves;
+        const size_t i1 = (wave + 1) * n / waves;
         const auto run_start = std::chrono::steady_clock::now();
         {
             CARBONX_PROFILE("sweep/batch_fill");
@@ -671,7 +682,6 @@ CarbonExplorer::optimizePass(const DesignSpace &space, Strategy strategy,
 {
     CARBONX_PROFILE("sweep/pass");
     static auto &c_passes = obs::counter("explorer.optimize_passes");
-    static auto &g_threads = obs::gauge("sweep.threads");
     static auto &g_pps = obs::gauge("sweep.points_per_sec");
     c_passes.increment();
 
@@ -723,11 +733,6 @@ CarbonExplorer::optimizePass(const DesignSpace &space, Strategy strategy,
     const size_t batch_pairs = std::max<size_t>(
         {64, 8 * worker_ids,
          (4 * kSweepBatchLanes * worker_ids + inner - 1) / inner});
-    // The workers one batch can occupy: one per wave.
-    const size_t batch_waves =
-        (std::min(pairs, batch_pairs) * inner + kSweepBatchLanes - 1) /
-        kSweepBatchLanes;
-    g_threads.set(static_cast<double>(std::min(worker_ids, batch_waves)));
 
     if (run_status_ != nullptr) {
         run_status_->setPhase("exhaustive sweep");

@@ -489,10 +489,11 @@ class CarbonExplorer
  * evaluations allocation-free), consults the explorer's sweep cache
  * before simulating, and checkpoints fresh results back into it —
  * always on the calling thread, between parallel waves, so the cache
- * needs no internal locking. Cache misses shard into fixed-size lane
- * waves; each worker fills its whole wave into its batch and one
- * batched engine pass advances every lane through the hourly trace
- * together (scheduler/batched_engine.h).
+ * needs no internal locking. Cache misses shard into balanced lane
+ * waves of at most 64 lanes, at least one per worker when there are
+ * enough misses; each worker fills its whole wave into its batch and
+ * one batched engine pass advances every lane through the hourly
+ * trace together (scheduler/batched_engine.h).
  *
  * Determinism contract: evaluate() writes out[i] for points[i] and
  * produces bit-identical Evaluations whether a point was simulated

@@ -189,7 +189,6 @@ class DecisionJournal
     size_t pendingRows() const;
 
     const std::string &path() const { return path_; }
-    uint64_t configDigest() const { return config_digest_; }
 
   private:
     std::string path_;

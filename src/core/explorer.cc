@@ -152,6 +152,22 @@ ExternalTraces::fromCsv(const std::string &path, int year)
                           wind.scaledToMax(1.0), std::move(intensity));
 }
 
+namespace
+{
+
+/** The scheduling knobs both constructors check. */
+void
+checkKnobs(const ExplorerConfig &config)
+{
+    require(config.flexible_ratio.value() >= 0.0 &&
+                config.flexible_ratio.value() <= 1.0,
+            "flexible ratio must be in [0, 1]");
+    require(std::isfinite(config.slo_window_hours.value()),
+            "slo_window_hours must be finite");
+}
+
+} // namespace
+
 CarbonExplorer::CarbonExplorer(ExplorerConfig config)
     : config_(std::move(config)), grid_trace_(makeGridTrace(config_)),
       coverage_(makeDcPower(config_),
@@ -160,9 +176,7 @@ CarbonExplorer::CarbonExplorer(ExplorerConfig config)
       embodied_(config_.renewable_embodied, config_.server_spec),
       peak_power_mw_(coverage_.dcPower().max())
 {
-    require(config_.flexible_ratio.value() >= 0.0 &&
-                config_.flexible_ratio.value() <= 1.0,
-            "flexible ratio must be in [0, 1]");
+    checkKnobs(config_);
 }
 
 CarbonExplorer::CarbonExplorer(ExplorerConfig config,
@@ -172,9 +186,7 @@ CarbonExplorer::CarbonExplorer(ExplorerConfig config,
       embodied_(config_.renewable_embodied, config_.server_spec),
       peak_power_mw_(coverage_.dcPower().max())
 {
-    require(config_.flexible_ratio.value() >= 0.0 &&
-                config_.flexible_ratio.value() <= 1.0,
-            "flexible ratio must be in [0, 1]");
+    checkKnobs(config_);
 }
 
 uint64_t
@@ -449,9 +461,11 @@ journalPointId(const DesignPoint &point)
 constexpr double kJournalNan = std::numeric_limits<double>::quiet_NaN();
 
 /**
- * Per-worker scratch for the design-space sweep: one SoA simulation
- * batch, reused across every wave the worker evaluates so the hot
- * loop allocates nothing once its backlog queues have warmed up.
+ * Per-worker scratch for the design-space sweep: one simulation
+ * batch, reused across every wave the worker evaluates. Its backlog
+ * rings are sized by its first wave that is not plain (DESIGN.md
+ * section 13) and reused after that, so later waves allocate
+ * nothing.
  */
 struct SweepWorkspace
 {

@@ -47,17 +47,6 @@ SiteRegistry::byState(const std::string &state) const
     throw UserError("unknown datacenter site state: " + state);
 }
 
-std::vector<Site>
-SiteRegistry::byBalancingAuthority(const std::string &ba) const
-{
-    std::vector<Site> out;
-    for (const auto &s : sites_) {
-        if (s.ba_code == ba)
-            out.push_back(s);
-    }
-    return out;
-}
-
 double
 SiteRegistry::totalSolarInvestMw() const
 {

@@ -46,9 +46,6 @@ class SiteRegistry
     /** Site by two-letter state code. @throws UserError when absent. */
     const Site &byState(const std::string &state) const;
 
-    /** All sites served by a balancing authority. */
-    std::vector<Site> byBalancingAuthority(const std::string &ba) const;
-
     /** Sum of solar investments across sites (paper: 1823 MW). */
     double totalSolarInvestMw() const;
 

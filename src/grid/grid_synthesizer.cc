@@ -14,15 +14,6 @@
 namespace carbonx
 {
 
-double
-GridTrace::curtailmentFraction() const
-{
-    const double absorbed = wind.total() + solar.total();
-    const double lost = curtailed.total();
-    const double potential = absorbed + lost;
-    return potential > 0.0 ? lost / potential : 0.0;
-}
-
 GridSynthesizer::GridSynthesizer(const BalancingAuthorityProfile &profile,
                                  uint64_t base_seed)
     : profile_(profile),

@@ -57,9 +57,6 @@ struct GridTrace
 
     /** Wind + solar absorbed by the grid. */
     TimeSeries renewable() const { return wind + solar; }
-
-    /** Fraction of renewable potential that was curtailed. */
-    double curtailmentFraction() const;
 };
 
 /** Synthesizes GridTraces for balancing-authority profiles. */

@@ -23,9 +23,12 @@
  *     the auto-vectorizable part (each lane is independent, so SIMD
  *     lanes never mix operands across design points and the values
  *     are bit-identical to one-lane evaluation order).
- *  2. A per-lane scheduling/battery step. The battery step is the
- *     C/L/C model (battery/chemistry.h) on the batch's SoA state;
- *     this is the library's only copy of the battery physics.
+ *  2. A per-lane scheduling/battery step on the lane's record
+ *     (configuration, battery state, backlog ring, accumulators).
+ *     The battery step is the C/L/C model (battery/chemistry.h);
+ *     this is the library's only copy of the battery physics. The
+ *     step is one template body: sweeps instantiate it without the
+ *     flight recorder, explain with it.
  *
  * A plain batch (no recorder; every lane without battery, deferral or
  * grid charging, with its cap at or above the load peak) replaces
@@ -99,8 +102,19 @@ class BatchedSimulationEngine
     /**
      * The hourly loop of a plain batch (see the file comment), for
      * run() to call after it has validated and reset the batch.
+     * Returns the lane-independent load energy.
      */
-    void runPlain(SimulationBatch &batch) const;
+    double runPlain(SimulationBatch &batch) const;
+
+    /**
+     * The hourly loop of any other batch: stage 1, then stage 2 on
+     * each lane's record. Record = true also writes every hour into
+     * @p recorder (explain); sweeps run Record = false, whose step
+     * has no recorder code at all. Returns the load energy.
+     */
+    template <bool Record>
+    double runGeneral(SimulationBatch &batch,
+                      obs::FlightRecorder *recorder) const;
 
     const TimeSeries &dc_power_;
     const TimeSeries &solar_shape_;

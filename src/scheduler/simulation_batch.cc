@@ -1,6 +1,7 @@
 #include "simulation_batch.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.h"
 #include "common/tolerances.h"
@@ -27,67 +28,28 @@ SimulationBatch::SimulationBatch(size_t capacity) : capacity_(capacity)
     const auto reserve = [capacity](auto &vec) {
         vec.reserve(capacity);
     };
+    reserve(lanes_);
     reserve(solar_);
     reserve(wind_);
-    reserve(cap_);
     reserve(fwr_);
-    reserve(window_);
-    reserve(grid_charging_);
-    reserve(grid_threshold_);
-    reserve(has_battery_);
-    reserve(bat_capacity_);
-    reserve(bat_initial_);
-    reserve(bat_rate_charge_);
-    reserve(bat_rate_discharge_);
-    reserve(bat_eff_charge_);
-    reserve(bat_eff_discharge_);
-    reserve(bat_min_content_);
-    reserve(bat_usable_);
-    reserve(bat_content_);
-    reserve(bat_charged_);
-    reserve(bat_discharged_);
-    reserve(backlog_total_);
     reserve(ren_);
     reserve(fixed_);
     reserve(flex_);
-    reserve(acc_load_);
-    reserve(acc_served_);
     reserve(acc_grid_);
     reserve(acc_ren_used_);
     reserve(acc_ren_excess_);
-    reserve(acc_deferred_);
-    reserve(acc_max_backlog_);
-    reserve(acc_violation_);
-    reserve(acc_grid_charge_);
-    reserve(acc_peak_);
     reserve(acc_carbon_);
     reserve(results_);
-    // Backlog queues live at full capacity permanently: clear() must
-    // not destroy them, or the entry storage they grew during earlier
-    // runs would be re-allocated on every wave.
-    backlog_.resize(capacity);
 }
 
 void
 SimulationBatch::clear()
 {
     size_ = 0;
+    lanes_.clear();
     solar_.clear();
     wind_.clear();
-    cap_.clear();
     fwr_.clear();
-    window_.clear();
-    grid_charging_.clear();
-    grid_threshold_.clear();
-    has_battery_.clear();
-    bat_capacity_.clear();
-    bat_initial_.clear();
-    bat_rate_charge_.clear();
-    bat_rate_discharge_.clear();
-    bat_eff_charge_.clear();
-    bat_eff_discharge_.clear();
-    bat_min_content_.clear();
-    bat_usable_.clear();
 }
 
 void
@@ -100,6 +62,11 @@ SimulationBatch::addLane(const BatchLaneConfig &lane)
     if (lane.flexible_ratio.value() < 0.0 ||
         lane.flexible_ratio.value() > 1.0)
         failLane("flexible ratio must be in [0, 1]");
+    // NaN fails every comparison, so the finiteness test comes first;
+    // the engine clamps a long finite window to the trace before it
+    // becomes an hour count.
+    if (!std::isfinite(lane.slo_window_hours.value()))
+        failLane("slo_window_hours must be finite");
     if (lane.slo_window_hours.value() < 1.0)
         failLane("SLO window must be at least one hour");
 
@@ -108,6 +75,12 @@ SimulationBatch::addLane(const BatchLaneConfig &lane)
     if (grid_charging && lane.grid_charge_threshold_gkwh.value() < 0.0)
         failLane("grid-charge threshold must be >= 0");
 
+    Lane rec;
+    rec.cap = lane.capacity_cap_mw.value();
+    rec.fwr = lane.flexible_ratio.value();
+    rec.window_hours = lane.slo_window_hours.value();
+    rec.grid_charging = grid_charging;
+    rec.grid_threshold = lane.grid_charge_threshold_gkwh.value();
     if (lane.chemistry != nullptr) {
         // Validate the chemistry, then pre-derive the C/L/C
         // quantities the kernel reads every hour: rate caps (C-rate x
@@ -138,41 +111,25 @@ SimulationBatch::addLane(const BatchLaneConfig &lane)
             soc > 1.0 + kUnitIntervalSlack)
             failLane("initial SoC outside the DoD window");
 
-        has_battery_.push_back(1);
-        bat_capacity_.push_back(capacity);
-        bat_initial_.push_back(capacity *
-                               std::clamp(soc, min_soc, 1.0));
-        bat_rate_charge_.push_back(chem.max_charge_c_rate * capacity);
-        bat_rate_discharge_.push_back(chem.max_discharge_c_rate *
-                                      capacity);
-        bat_eff_charge_.push_back(chem.charge_efficiency);
-        bat_eff_discharge_.push_back(chem.discharge_efficiency);
-        bat_min_content_.push_back(capacity * min_soc);
-        bat_usable_.push_back(capacity * chem.depth_of_discharge);
-    } else {
-        if (lane.battery_capacity_mwh.value() != 0.0)
-            failLane("battery capacity requires a chemistry");
-        has_battery_.push_back(0);
-        bat_capacity_.push_back(0.0);
-        bat_initial_.push_back(0.0);
-        bat_rate_charge_.push_back(0.0);
-        bat_rate_discharge_.push_back(0.0);
-        // Never read (the capacity<=0 early-outs fire first); 1.0
-        // keeps the arrays free of accidental divide-by-zero bait.
-        bat_eff_charge_.push_back(1.0);
-        bat_eff_discharge_.push_back(1.0);
-        bat_min_content_.push_back(0.0);
-        bat_usable_.push_back(0.0);
+        rec.has_battery = true;
+        rec.bat_capacity = capacity;
+        rec.bat_initial = capacity * std::clamp(soc, min_soc, 1.0);
+        rec.bat_rate_charge = chem.max_charge_c_rate * capacity;
+        rec.bat_rate_discharge = chem.max_discharge_c_rate * capacity;
+        rec.bat_eff_charge = chem.charge_efficiency;
+        rec.bat_eff_discharge = chem.discharge_efficiency;
+        rec.bat_min_content = capacity * min_soc;
+        rec.bat_usable = capacity * chem.depth_of_discharge;
+    } else if (lane.battery_capacity_mwh.value() != 0.0) {
+        // Without a battery the record keeps its zero parameters; the
+        // capacity <= 0 early-outs of the battery steps fire first.
+        failLane("battery capacity requires a chemistry");
     }
 
+    lanes_.push_back(rec);
     solar_.push_back(lane.solar_mw.value());
     wind_.push_back(lane.wind_mw.value());
-    cap_.push_back(lane.capacity_cap_mw.value());
-    fwr_.push_back(lane.flexible_ratio.value());
-    window_.push_back(
-        static_cast<size_t>(lane.slo_window_hours.value()));
-    grid_charging_.push_back(grid_charging ? 1 : 0);
-    grid_threshold_.push_back(lane.grid_charge_threshold_gkwh.value());
+    fwr_.push_back(rec.fwr);
     ++size_;
 }
 

@@ -1,13 +1,16 @@
 /**
  * @file
- * Structure-of-arrays batch of co-simulation lanes.
+ * Batch of co-simulation lanes.
  *
  * A SimulationBatch holds up to `capacity` independent design points
- * ("lanes") in parallel arrays: per-lane configuration (renewable
- * investment, capacity cap, flexible ratio, SLO window, battery
- * parameters, grid-charging policy), per-lane mutable state (battery
- * content, deferred-work backlog), and per-lane result accumulators.
- * BatchedSimulationEngine advances every lane through the hourly
+ * ("lanes"). Each lane has one record holding its configuration
+ * (capacity cap, flexible ratio, SLO window, battery parameters,
+ * grid-charging policy), its mutable state (battery content,
+ * deferred-work backlog) and its result accumulators; the inputs and
+ * outputs of the vectorized lane loops (nameplate scales, flexible
+ * ratio, hourly staging, the plain loop's accumulators) are parallel
+ * arrays. Each lane's backlog is a fixed ring in storage the batch
+ * owns. BatchedSimulationEngine advances every lane through the hourly
  * trace in one pass, so the trace (and its cache traffic) is paid
  * once per batch instead of once per design point. A single design
  * point is simply a one-lane batch.
@@ -27,8 +30,8 @@
 #ifndef CARBONX_SCHEDULER_SIMULATION_BATCH_H
 #define CARBONX_SCHEDULER_SIMULATION_BATCH_H
 
-#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "battery/chemistry.h"
@@ -49,54 +52,6 @@ enum class GridChargePolicy
 {
     Never,
     BelowIntensityThreshold,
-};
-
-/**
- * Reusable deferred-work queue of one lane. A plain vector with a head
- * index stands in for std::deque: popFront is an index bump, pushFront
- * reuses the popped prefix (growing a fresh gap in one amortized-O(1)
- * move when none is left), and clear() keeps the capacity, so a batch
- * does no queue allocation once its queues have warmed up.
- */
-struct SimulationScratch
-{
-    /** One chunk of deferred work with its completion deadline. */
-    struct Entry
-    {
-        size_t deadline_hour;
-        MegaWattHours mwh;
-    };
-
-    std::vector<Entry> entries;
-    size_t head = 0;
-
-    void clear()
-    {
-        entries.clear();
-        head = 0;
-    }
-    bool empty() const { return head == entries.size(); }
-    Entry &front() { return entries[head]; }
-    const Entry &front() const { return entries[head]; }
-    void popFront()
-    {
-        if (++head == entries.size())
-            clear();
-    }
-    void pushBack(const Entry &e) { entries.push_back(e); }
-    void pushFront(const Entry &e)
-    {
-        if (head == 0) {
-            // Out of front headroom: open a gap proportional to the
-            // queue length in one move, so a worst-case sequence of
-            // front pushes stays amortized O(1) instead of shifting
-            // the whole queue on every push.
-            const size_t grow = std::max<size_t>(entries.size(), 4);
-            entries.insert(entries.begin(), grow, Entry{});
-            head = grow;
-        }
-        entries[--head] = e;
-    }
 };
 
 /**
@@ -170,11 +125,10 @@ struct BatchLaneResult
 };
 
 /**
- * Up-to-capacity lanes in SoA layout. Fill with addLane, run with
+ * Up-to-capacity lanes. Fill with addLane, run with
  * BatchedSimulationEngine::run, read with result(). clear() keeps all
- * storage (including each lane's backlog-queue capacity), so a sweep
- * worker that owns one batch stops allocating once its queues have
- * grown to the working-set high-water mark.
+ * storage, including the backlog rings, so a sweep worker that owns
+ * one batch stops allocating after its first run.
  */
 class SimulationBatch
 {
@@ -200,58 +154,116 @@ class SimulationBatch
   private:
     friend class BatchedSimulationEngine;
 
+    /** One chunk of deferred work and the hour it must run by. */
+    struct BacklogEntry
+    {
+        size_t deadline_hour;
+        double mwh;
+    };
+
+    /**
+     * Everything the scheduling/battery step reads and writes for one
+     * lane, so the step reaches all of it at fixed offsets from one
+     * pointer. Values are raw doubles, unwrapped from their unit
+     * types once in addLane.
+     */
+    struct Lane
+    {
+        // Configuration, set by addLane. Battery parameters are
+        // pre-derived from the chemistry there (single deterministic
+        // products, never recomputed per hour).
+        double cap = 0.0;
+        double fwr = 0.0;
+        double window_hours = 1.0; ///< Finite and >= 1.
+        double grid_threshold = 0.0;
+        bool grid_charging = false;
+        bool has_battery = false;
+        double bat_capacity = 0.0;       ///< Nameplate (MWh).
+        double bat_initial = 0.0;        ///< Initial content (MWh).
+        double bat_rate_charge = 0.0;    ///< C-rate power cap (MW).
+        double bat_rate_discharge = 0.0;
+        double bat_eff_charge = 1.0;
+        double bat_eff_discharge = 1.0;
+        double bat_min_content = 0.0;    ///< DoD floor (MWh).
+        double bat_usable = 0.0;         ///< Nameplate * DoD (MWh).
+
+        // Run state, reset by the engine at run start.
+        size_t window = 0; ///< SLO window, clamped to the trace.
+        double bat_content = 0.0;
+        double bat_charged = 0.0;
+        double bat_discharged = 0.0;
+        uint64_t charge_calls = 0;
+        uint64_t discharge_calls = 0;
+
+        // The deferred-work backlog: a ring of ring_depth entries in
+        // the batch's ring storage, oldest entry at ring[head].
+        BacklogEntry *ring = nullptr;
+        size_t ring_depth = 0;
+        size_t head = 0;
+        size_t count = 0;
+        double backlog_total = 0.0;
+
+        // Accumulators, added in hour order, so a lane's sums never
+        // depend on the batch it shares.
+        double served = 0.0;
+        double grid = 0.0;
+        double ren_used = 0.0;
+        double ren_excess = 0.0;
+        double deferred = 0.0;
+        double max_backlog = 0.0;
+        double violation = 0.0;
+        double grid_charge = 0.0;
+        double peak = 0.0;
+        double carbon = 0.0;
+
+        bool backlogEmpty() const { return count == 0; }
+        BacklogEntry &front() { return ring[head]; }
+        void popFront()
+        {
+            head = head + 1 == ring_depth ? 0 : head + 1;
+            --count;
+        }
+        void pushFront(const BacklogEntry &e)
+        {
+            head = head == 0 ? ring_depth - 1 : head - 1;
+            ring[head] = e;
+            ++count;
+        }
+        void pushBack(const BacklogEntry &e)
+        {
+            const size_t tail = head + count;
+            ring[tail < ring_depth ? tail : tail - ring_depth] = e;
+            ++count;
+        }
+    };
+
     size_t capacity_ = 0;
     size_t size_ = 0;
 
-    // Per-lane configuration, unwrapped to raw doubles once at
-    // addLane time (the PR-3 discipline: unit types are a single
-    // double, so the kernel runs on plain contiguous arrays).
+    std::vector<Lane> lanes_;
+
+    // Stage-1 inputs and the plain stage 2's inputs, one column each,
+    // so those lane loops vectorize.
     std::vector<double> solar_;
     std::vector<double> wind_;
-    std::vector<double> cap_;
     std::vector<double> fwr_;
-    std::vector<size_t> window_;
-    std::vector<unsigned char> grid_charging_;
-    std::vector<double> grid_threshold_;
 
-    // Battery parameters, pre-derived from the chemistry once per
-    // lane (single deterministic products, so the kernel never
-    // recomputes them per hour).
-    std::vector<unsigned char> has_battery_;
-    std::vector<double> bat_capacity_;      ///< Nameplate (MWh).
-    std::vector<double> bat_initial_;       ///< Initial content (MWh).
-    std::vector<double> bat_rate_charge_;   ///< C-rate power cap (MW).
-    std::vector<double> bat_rate_discharge_;
-    std::vector<double> bat_eff_charge_;
-    std::vector<double> bat_eff_discharge_;
-    std::vector<double> bat_min_content_;   ///< DoD floor (MWh).
-    std::vector<double> bat_usable_;        ///< Nameplate * DoD (MWh).
-
-    // Per-lane mutable state, reset by the engine at run start.
-    std::vector<double> bat_content_;
-    std::vector<double> bat_charged_;
-    std::vector<double> bat_discharged_;
-    std::vector<SimulationScratch> backlog_;
-    std::vector<double> backlog_total_;
-
-    // Hourly staging arrays written by the vectorizable lane loop.
+    // Hourly staging arrays written by the stage-1 lane loop.
     std::vector<double> ren_;
     std::vector<double> fixed_;
     std::vector<double> flex_;
 
-    // Per-lane accumulators; one slot per lane, added in hour order,
-    // so a lane's sums never depend on the batch it shares.
-    std::vector<double> acc_load_;
-    std::vector<double> acc_served_;
+    // The plain stage 2's lane-dependent accumulators.
     std::vector<double> acc_grid_;
     std::vector<double> acc_ren_used_;
     std::vector<double> acc_ren_excess_;
-    std::vector<double> acc_deferred_;
-    std::vector<double> acc_max_backlog_;
-    std::vector<double> acc_violation_;
-    std::vector<double> acc_grid_charge_;
-    std::vector<double> acc_peak_;
     std::vector<double> acc_carbon_;
+
+    // Backlog rings: ring_depth_ entries per lane slot, allocated by
+    // the first run that needs them (never by a plain batch) and
+    // regrown only for a deeper lane.
+    std::vector<BacklogEntry> ring_;
+    size_t ring_depth_ = 0;
 
     std::vector<BatchLaneResult> results_;
 };

@@ -11,10 +11,6 @@ namespace
 constexpr std::array<size_t, 12> kDaysPerMonth = {
     31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31};
 
-const char *const kMonthNames[12] = {
-    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
-    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"};
-
 /**
  * Weekday of January 1st for @p year with 0 = Monday, via a compact
  * Gregorian day-count (days since the proleptic epoch 0001-01-01,
@@ -110,13 +106,6 @@ HourlyCalendar::weekdayOfDay(size_t day_of_year) const
     require(day_of_year < daysInYear(), "day index beyond year end");
     return static_cast<int>(
         (static_cast<size_t>(jan1_weekday_) + day_of_year) % 7);
-}
-
-std::string
-HourlyCalendar::monthName(int month)
-{
-    require(month >= 1 && month <= 12, "month must be in 1..12");
-    return kMonthNames[month - 1];
 }
 
 } // namespace carbonx

@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstddef>
-#include <string>
 
 namespace carbonx
 {
@@ -69,9 +68,6 @@ class HourlyCalendar
 
     /** Weekday (0 = Monday) of a 0-based day-of-year. */
     int weekdayOfDay(size_t day_of_year) const;
-
-    /** Short month name ("Jan".."Dec"). */
-    static std::string monthName(int month);
 
     /** True when @p year is a Gregorian leap year. */
     static bool isLeap(int year);

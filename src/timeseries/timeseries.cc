@@ -97,24 +97,6 @@ TimeSeries::operator*=(double scale)
 }
 
 TimeSeries
-TimeSeries::clampMin(double floor) const
-{
-    TimeSeries out(*this);
-    for (double &v : out.values_)
-        v = std::max(v, floor);
-    return out;
-}
-
-TimeSeries
-TimeSeries::clampMax(double ceiling) const
-{
-    TimeSeries out(*this);
-    for (double &v : out.values_)
-        v = std::min(v, ceiling);
-    return out;
-}
-
-TimeSeries
 TimeSeries::map(const std::function<double(double)> &fn) const
 {
     TimeSeries out(*this);
@@ -243,40 +225,6 @@ TimeSeries::window(size_t first, size_t count) const
             "time series window out of range");
     return {values_.begin() + static_cast<long>(first),
             values_.begin() + static_cast<long>(first + count)};
-}
-
-TimeSeries
-TimeSeries::rollingMean(size_t window_hours) const
-{
-    require(window_hours >= 1, "rolling window must be at least one hour");
-    TimeSeries out(year());
-    const long half = static_cast<long>(window_hours) / 2;
-    const long n = static_cast<long>(values_.size());
-    // Prefix sums make the whole pass O(n).
-    std::vector<double> prefix(values_.size() + 1, 0.0);
-    for (size_t i = 0; i < values_.size(); ++i)
-        prefix[i + 1] = prefix[i] + values_[i];
-    for (long i = 0; i < n; ++i) {
-        const long lo = std::max<long>(0, i - half);
-        const long hi = std::min<long>(n - 1, i + half);
-        const double sum = prefix[static_cast<size_t>(hi + 1)] -
-                           prefix[static_cast<size_t>(lo)];
-        out.values_[static_cast<size_t>(i)] =
-            sum / static_cast<double>(hi - lo + 1);
-    }
-    return out;
-}
-
-double
-TimeSeries::fractionAtLeast(const TimeSeries &other) const
-{
-    checkSameYear(other);
-    size_t hits = 0;
-    for (size_t i = 0; i < values_.size(); ++i) {
-        if (values_[i] >= other.values_[i])
-            ++hits;
-    }
-    return static_cast<double>(hits) / static_cast<double>(values_.size());
 }
 
 } // namespace carbonx

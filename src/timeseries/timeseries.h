@@ -69,12 +69,6 @@ class TimeSeries
     TimeSeries &operator*=(double scale);
     /// @}
 
-    /** Elementwise max(value, floor); e.g. clampMin(0) for deficits. */
-    TimeSeries clampMin(double floor) const;
-
-    /** Elementwise min(value, ceiling). */
-    TimeSeries clampMax(double ceiling) const;
-
     /** Apply @p fn to every value, returning a new series. */
     TimeSeries map(const std::function<double(double)> &fn) const;
 
@@ -125,15 +119,6 @@ class TimeSeries
 
     /** Copy of hours [first, first+count). */
     std::vector<double> window(size_t first, size_t count) const;
-
-    /** Centered moving average with the given full window width. */
-    TimeSeries rollingMean(size_t window_hours) const;
-
-    /**
-     * Number of hours where this series >= @p other, as a fraction of
-     * the year. Building block for coverage-style metrics.
-     */
-    double fractionAtLeast(const TimeSeries &other) const;
 
   private:
     void checkSameYear(const TimeSeries &o) const;

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 #include "core/explorer.h"
 
@@ -205,6 +211,65 @@ TEST(Explorer, RejectsBadConfig)
     cfg = ExplorerConfig{};
     cfg.flexible_ratio = Fraction(2.0);
     EXPECT_THROW(CarbonExplorer{cfg}, UserError);
+}
+
+TEST(Explorer, RejectsNonFiniteSloWindows)
+{
+    for (const double window : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        ExplorerConfig cfg = utahConfig();
+        cfg.slo_window_hours = Hours(window);
+        try {
+            const CarbonExplorer explorer(cfg);
+            FAIL() << "window " << window << " was accepted";
+        } catch (const UserError &e) {
+            EXPECT_NE(std::string(e.what()).find("slo_window_hours"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Explorer, SloWindowsAsLongAsTheYearOrLongerAgreeBitwise)
+{
+    // A deadline past the trace's last hour never matures, so every
+    // window at least as long as the year (2021: 8760 h) defers the
+    // same way, and a window of 1e300 h must not reach an undefined
+    // cast to an hour count.
+    const std::vector<DesignPoint> points = {
+        DesignPoint{},
+        DesignPoint{MegaWatts(30.0), MegaWatts(15.0),
+                    MegaWattHours(60.0), Fraction(0.2)}};
+    for (const DesignPoint &point : points) {
+        SCOPED_TRACE(point.describe());
+        std::vector<Evaluation> evals;
+        for (const double window : {8760.0, 1e6, 1e300}) {
+            ExplorerConfig cfg = utahConfig();
+            cfg.year = 2021;
+            cfg.avg_dc_power_mw = MegaWatts(20.0);
+            cfg.flexible_ratio = Fraction(0.4);
+            cfg.slo_window_hours = Hours(window);
+            evals.push_back(CarbonExplorer(cfg).evaluate(
+                point, Strategy::RenewableBatteryCas));
+        }
+        EXPECT_GT(evals[0].deferred_mwh.value(), 0.0);
+        for (size_t i = 1; i < evals.size(); ++i) {
+            const auto bits = [](double v) {
+                return std::bit_cast<uint64_t>(v);
+            };
+            const Evaluation &a = evals[0];
+            const Evaluation &b = evals[i];
+            EXPECT_EQ(bits(a.coverage_pct), bits(b.coverage_pct));
+            EXPECT_EQ(bits(a.operational_kg.value()),
+                      bits(b.operational_kg.value()));
+            EXPECT_EQ(bits(a.embodiedKg().value()),
+                      bits(b.embodiedKg().value()));
+            EXPECT_EQ(bits(a.battery_cycles), bits(b.battery_cycles));
+            EXPECT_EQ(bits(a.deferred_mwh.value()),
+                      bits(b.deferred_mwh.value()));
+            EXPECT_EQ(bits(a.renewable_excess_mwh.value()),
+                      bits(b.renewable_excess_mwh.value()));
+        }
+    }
 }
 
 } // namespace

@@ -85,6 +85,16 @@ TEST(ExternalTraces, RejectsMismatchedYears)
         UserError);
 }
 
+TEST(ExternalTraces, RejectsNonFiniteSloWindows)
+{
+    for (const double window : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        ExplorerConfig cfg = baseConfig();
+        cfg.slo_window_hours = Hours(window);
+        EXPECT_THROW(CarbonExplorer(cfg, syntheticTraces()), UserError)
+            << "window " << window;
+    }
+}
+
 TEST(ExternalTraces, RejectsNegativeAndNonFiniteHoursBuiltInCode)
 {
     // Traces built in code skip fromCsv's checks; the explorer must

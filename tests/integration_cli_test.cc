@@ -492,6 +492,33 @@ TEST(Cli, BadLogLevelFailsGracefully)
     EXPECT_NE(run.output.find("unknown log level"), std::string::npos);
 }
 
+TEST(Cli, UndeclaredFlagIsAUsageErrorBeforeAnythingRuns)
+{
+    REQUIRE_CLI();
+    // --help is no bench flag: the command must refuse it (exit 2,
+    // the flag named, bench's usage lines) instead of running the
+    // whole bench suite.
+    const CliRunSplit help = runCliSplit("bench --help");
+    EXPECT_EQ(help.exit_code, 2);
+    EXPECT_TRUE(help.out.empty()) << help.out;
+    EXPECT_NE(help.err.find("unknown flag --help"), std::string::npos)
+        << help.err;
+    EXPECT_NE(help.err.find("usage:\n  bench    [--smoke]"),
+              std::string::npos)
+        << help.err;
+
+    // A typo of a common flag, and a flag another command reads.
+    const CliRun typo = runCli("sites --trace-ot t.json");
+    EXPECT_EQ(typo.exit_code, 2);
+    EXPECT_NE(typo.output.find("unknown flag --trace-ot"),
+              std::string::npos)
+        << typo.output;
+    const CliRun foreign = runCli("fleet --ba PACE");
+    EXPECT_EQ(foreign.exit_code, 2);
+    EXPECT_NE(foreign.output.find("unknown flag --ba"), std::string::npos)
+        << foreign.output;
+}
+
 TEST(Cli, FractionalSeedIsRejected)
 {
     REQUIRE_CLI();

@@ -329,8 +329,8 @@ TEST(ScopedPhase, OnlyTheProfilerRecordsWhenTracingIsOff)
     {
         CARBONX_PROFILE("profile/only");
     }
-    const ProfileNode *node =
-        PhaseProfiler::instance().merged().find("profile/only");
+    const ProfileNode root = PhaseProfiler::instance().merged();
+    const ProfileNode *node = root.find("profile/only");
     ASSERT_NE(node, nullptr);
     EXPECT_EQ(node->count, 1u);
     EXPECT_EQ(SpanTracer::instance().eventCount(), 0u);

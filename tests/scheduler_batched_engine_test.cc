@@ -6,16 +6,15 @@
  * invariant audit when re-run as a recorded one-lane batch. A lane's
  * result must not depend on its batch size, its neighbours, re-runs,
  * profiling or the sweep's thread count. Also covers the
- * allocation-freedom contract of the hot loop and the
- * SimulationScratch pushFront head==0 regression.
+ * allocation-freedom contract of the hot loop.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -499,6 +498,21 @@ TEST(BatchedEngine, ValidationMatchesScalarContracts)
     bad_ratio.flexible_ratio = Fraction(1.5);
     EXPECT_THROW(batch.addLane(bad_ratio), UserError);
 
+    // NaN passes a "< 1" check; non-finite windows must not reach the
+    // cast to an hour count.
+    for (const double window : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        BatchLaneConfig bad_window = lane;
+        bad_window.slo_window_hours = Hours(window);
+        try {
+            batch.addLane(bad_window);
+            ADD_FAILURE() << "window " << window << " was accepted";
+        } catch (const UserError &e) {
+            EXPECT_NE(std::string(e.what()).find("slo_window_hours"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
     BatchLaneConfig orphan_battery = lane;
     orphan_battery.battery_capacity_mwh = MegaWattHours(10.0);
     EXPECT_THROW(batch.addLane(orphan_battery), UserError);
@@ -616,8 +630,10 @@ TEST(BatchedEngine, NoAllocationsAfterWarmup)
     EXPECT_EQ(g_allocation_count.load(), 0u)
         << "warm fill+run of the batched kernel must not allocate";
 
-    // The same contract on the plain stage 2: the lanes without
-    // battery, deferral or grid charging, run as their own batch.
+    // The same contract on the plain stage 2 (the lanes without
+    // battery, deferral or grid charging, run as their own batch),
+    // from the batch's first run on: a plain batch never allocates
+    // backlog rings.
     const auto &c_plain = obs::counter("sim.plain_batch_runs");
     std::vector<BatchLaneConfig> plain_configs;
     for (BatchLaneConfig lane : configs) {
@@ -633,9 +649,6 @@ TEST(BatchedEngine, NoAllocationsAfterWarmup)
         for (const BatchLaneConfig &lane : plain_configs)
             plain.addLane(lane);
     };
-    fillPlain();
-    engine.run(plain);
-
     const uint64_t plain_runs = c_plain.value();
     g_allocation_count.store(0);
     g_count_allocations.store(true);
@@ -918,73 +931,6 @@ TEST(BatchedSweep, OptimizeMatchesScalarEvaluateAcrossThreadCounts)
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// SimulationScratch pushFront regression.
-// ---------------------------------------------------------------------------
-
-TEST(BatchedScratch, PushFrontWithNoHeadroomPreservesOrder)
-{
-    // Regression: pushFront at head == 0 used to fall back to an
-    // O(n) insert-at-begin per push; it now opens a proportional gap
-    // in one move. Either way the queue order must be exact.
-    SimulationScratch scratch;
-    // No headroom at all: first push lands at the front.
-    scratch.pushFront({7, MegaWattHours(1.5)});
-    ASSERT_FALSE(scratch.empty());
-    EXPECT_EQ(scratch.front().deadline_hour, 7u);
-    EXPECT_EQ(scratch.front().mwh.value(), 1.5);
-
-    // Exhaust the headroom the growth opened, then keep pushing: the
-    // head == 0 path must trigger again without corrupting order.
-    for (size_t i = 0; i < 100; ++i)
-        scratch.pushFront({i, MegaWattHours(static_cast<double>(i))});
-    for (size_t i = 0; i < 100; ++i) {
-        ASSERT_FALSE(scratch.empty());
-        EXPECT_EQ(scratch.front().deadline_hour, 99 - i);
-        scratch.popFront();
-    }
-    EXPECT_EQ(scratch.front().deadline_hour, 7u);
-    scratch.popFront();
-    EXPECT_TRUE(scratch.empty());
-}
-
-TEST(BatchedScratch, RandomizedOpsMatchDequeModel)
-{
-    Rng rng(99, "scratch-model");
-    SimulationScratch scratch;
-    std::deque<SimulationScratch::Entry> model;
-    for (int op = 0; op < 20000; ++op) {
-        const double roll = rng.uniform();
-        SimulationScratch::Entry e{static_cast<size_t>(op),
-                                   MegaWattHours(rng.uniform())};
-        if (roll < 0.35) {
-            scratch.pushBack(e);
-            model.push_back(e);
-        } else if (roll < 0.7) {
-            scratch.pushFront(e);
-            model.push_front(e);
-        } else if (!model.empty()) {
-            ASSERT_FALSE(scratch.empty());
-            EXPECT_EQ(scratch.front().deadline_hour,
-                      model.front().deadline_hour);
-            EXPECT_EQ(scratch.front().mwh.value(),
-                      model.front().mwh.value());
-            scratch.popFront();
-            model.pop_front();
-        } else {
-            EXPECT_TRUE(scratch.empty());
-        }
-    }
-    while (!model.empty()) {
-        ASSERT_FALSE(scratch.empty());
-        EXPECT_EQ(scratch.front().deadline_hour,
-                  model.front().deadline_hour);
-        scratch.popFront();
-        model.pop_front();
-    }
-    EXPECT_TRUE(scratch.empty());
 }
 
 } // namespace

@@ -111,14 +111,6 @@ TEST(Calendar, DayOfYearAndHourOfDay)
     EXPECT_EQ(cal.hourOfDay(25), 1);
 }
 
-TEST(Calendar, MonthNames)
-{
-    EXPECT_EQ(HourlyCalendar::monthName(1), "Jan");
-    EXPECT_EQ(HourlyCalendar::monthName(12), "Dec");
-    EXPECT_THROW(HourlyCalendar::monthName(0), UserError);
-    EXPECT_THROW(HourlyCalendar::monthName(13), UserError);
-}
-
 TEST(Calendar, RejectsOutOfRange)
 {
     const HourlyCalendar cal(2020);

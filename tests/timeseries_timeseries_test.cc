@@ -72,19 +72,6 @@ TEST(TimeSeries, ArithmeticRejectsYearMismatch)
     EXPECT_THROW(a += b, UserError);
 }
 
-TEST(TimeSeries, Clamping)
-{
-    TimeSeries ts(2021);
-    ts[0] = -5.0;
-    ts[1] = 5.0;
-    const TimeSeries lo = ts.clampMin(0.0);
-    EXPECT_DOUBLE_EQ(lo[0], 0.0);
-    EXPECT_DOUBLE_EQ(lo[1], 5.0);
-    const TimeSeries hi = ts.clampMax(2.0);
-    EXPECT_DOUBLE_EQ(hi[0], -5.0);
-    EXPECT_DOUBLE_EQ(hi[1], 2.0);
-}
-
 TEST(TimeSeries, MapAppliesFunction)
 {
     TimeSeries ts(2021, 2.0);
@@ -202,37 +189,6 @@ TEST(TimeSeries, WindowExtraction)
     EXPECT_DOUBLE_EQ(w[0], 1.0);
     EXPECT_DOUBLE_EQ(w[1], 2.0);
     EXPECT_THROW(ts.window(8759, 2), UserError);
-}
-
-TEST(TimeSeries, RollingMeanSmoothsConstantExactly)
-{
-    const TimeSeries ts(2021, 5.0);
-    const TimeSeries smooth = ts.rollingMean(24);
-    EXPECT_DOUBLE_EQ(smooth[0], 5.0);
-    EXPECT_DOUBLE_EQ(smooth[4000], 5.0);
-}
-
-TEST(TimeSeries, RollingMeanReducesVariance)
-{
-    TimeSeries ts(2021);
-    for (size_t h = 0; h < ts.size(); ++h)
-        ts[h] = (h % 2 == 0) ? 0.0 : 10.0;
-    const TimeSeries smooth = ts.rollingMean(25);
-    EXPECT_LT(smooth.summary().stddev(), ts.summary().stddev());
-    EXPECT_NEAR(smooth.mean(), ts.mean(), 0.01);
-}
-
-TEST(TimeSeries, FractionAtLeast)
-{
-    TimeSeries supply(2021, 1.0);
-    TimeSeries demand(2021, 2.0);
-    EXPECT_DOUBLE_EQ(supply.fractionAtLeast(demand), 0.0);
-    EXPECT_DOUBLE_EQ(demand.fractionAtLeast(supply), 1.0);
-    // Half the hours covered.
-    TimeSeries half(2021);
-    for (size_t h = 0; h < half.size(); ++h)
-        half[h] = (h % 2 == 0) ? 3.0 : 0.0;
-    EXPECT_DOUBLE_EQ(half.fractionAtLeast(supply), 0.5);
 }
 
 TEST(TimeSeries, LeapYearHasLeapHours)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "arg_parser.h"
@@ -55,6 +56,24 @@ TEST(ArgParser, BareFlagIsBooleanTrue)
     EXPECT_TRUE(p.getBool("verbose"));
     EXPECT_FALSE(p.getBool("quiet"));
     EXPECT_EQ(p.getString("verbose", ""), "true");
+}
+
+TEST(ArgParser, RequireKnownFlagsNamesTheFirstUnknownFlag)
+{
+    const ArgParser ok = parse({"coverage", "--ba", "PACE", "--solar=5"});
+    EXPECT_NO_THROW(ok.requireKnownFlags({"ba", "solar", "wind"}));
+
+    const ArgParser typo =
+        parse({"optimize", "--trace-ot", "t.json", "--help", "--ba=X"});
+    try {
+        typo.requireKnownFlags({"ba", "trace-out"});
+        FAIL() << "undeclared flags were accepted";
+    } catch (const UserError &e) {
+        // Flags are checked in name order: --help before --trace-ot.
+        EXPECT_NE(std::string(e.what()).find("--help"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ArgParser, BooleanFalseValues)

@@ -2,15 +2,18 @@
  * @file
  * Minimal command-line flag parser for the carbonx CLI. Supports
  * --flag value and --flag=value forms, typed lookups with defaults,
- * and collects positional arguments.
+ * a check against the flags a command declares, and collects
+ * positional arguments.
  */
 
 #ifndef CARBONX_TOOLS_ARG_PARSER_H
 #define CARBONX_TOOLS_ARG_PARSER_H
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
@@ -132,6 +135,22 @@ class ArgParser
         if (it == flags_.end())
             return fallback;
         return it->second != "false" && it->second != "0";
+    }
+
+    /**
+     * Throw a UserError naming the first given flag (in name order)
+     * that @p known does not list. Without this check a flag the
+     * command never reads, a typo or `--help`, is silently ignored
+     * and the command runs anyway.
+     */
+    void
+    requireKnownFlags(const std::vector<std::string_view> &known) const
+    {
+        for (const auto &flag : flags_) {
+            if (std::find(known.begin(), known.end(), flag.first) ==
+                known.end())
+                throw UserError("unknown flag --" + flag.first);
+        }
     }
 
   private:

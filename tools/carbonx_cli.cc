@@ -45,6 +45,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "arg_parser.h"
 #include "bench_suite.h"
@@ -611,69 +613,149 @@ cmdFleet(const ArgParser &args)
     return 0;
 }
 
+/** Flags every command takes (the observability session's). */
+const std::vector<std::string_view> kCommonFlags = {
+    "seed", "year", "threads", "log-level", "metrics-out", "trace-out"};
+
+/** One subcommand: what it reads, how to call it, what it runs. */
+struct Command
+{
+    std::string_view name;
+    /** The flags it reads besides kCommonFlags. */
+    std::vector<std::string_view> flags;
+    /** Its lines of the usage text. */
+    std::string_view usage;
+    int (*run)(const ArgParser &args, obs::RunStatus &status);
+};
+
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> table = {
+        {"sites",
+         {},
+         "  sites                              list Table 1 sites\n",
+         [](const ArgParser &, obs::RunStatus &) { return cmdSites(); }},
+        {"regions",
+         {},
+         "  regions                            list balancing "
+         "authorities\n",
+         [](const ArgParser &, obs::RunStatus &) { return cmdRegions(); }},
+        {"coverage",
+         {"ba", "dc", "flex", "solar", "wind"},
+         "  coverage --ba PACE --dc 19 --solar 100 --wind 50\n",
+         [](const ArgParser &args, obs::RunStatus &) {
+             return cmdCoverage(args);
+         }},
+        {"optimize",
+         {"ba", "dc", "flex", "strategy", "reach", "progress", "refine",
+          "cache-dir", "resume", "abort-after-points", "journal-out",
+          "status-out", "scenario", "scenario-dir", "exhaustive",
+          "report-out"},
+         "  optimize --ba PACE --dc 19 [--strategy all|ren|batt|cas|"
+         "combined] [--reach 10] [--progress]\n"
+         "           [--refine]             adaptive multi-resolution "
+         "sweep (bit-identical best, fewer simulations)\n"
+         "           [--cache-dir DIR]      persistent result cache; "
+         "reruns replay cached evaluations\n"
+         "           [--resume]             require cached results "
+         "(continue an interrupted --cache-dir sweep)\n"
+         "           [--abort-after-points N]  checkpoint then abort "
+         "after N fresh simulations (exit 3; CI hook)\n"
+         "           [--journal-out PATH]   per-decision sweep journal "
+         "(render with `carbonx inspect`)\n"
+         "           [--status-out PATH]    live status page, "
+         "atomically rewritten at each progress milestone\n"
+         "                                  (SIGUSR1 dumps the same "
+         "page to stderr on demand)\n",
+         cmdOptimize},
+        {"battery",
+         {"ba", "dc", "flex", "solar", "wind", "target"},
+         "  battery  --ba PACE --dc 19 --solar 100 --wind 50 "
+         "[--target 99.99]\n",
+         [](const ArgParser &args, obs::RunStatus &) {
+             return cmdBattery(args);
+         }},
+        {"schedule",
+         {"ba", "dc", "flex", "cap-mult"},
+         "  schedule --ba PACE --dc 19 [--flex 0.4] [--cap-mult 1.3]\n",
+         [](const ArgParser &args, obs::RunStatus &) {
+             return cmdSchedule(args);
+         }},
+        {"fleet",
+         {"flex"},
+         "  fleet    [--flex 0.4]\n",
+         [](const ArgParser &args, obs::RunStatus &) {
+             return cmdFleet(args);
+         }},
+        {"explain",
+         {"ba", "dc", "flex", "strategy", "solar", "wind", "battery",
+          "extra", "reach", "timeline-out", "cache-dir", "resume"},
+         "  explain  --ba PACE --dc 19 [--strategy ren|batt|cas|"
+         "combined]\n"
+         "           [--solar S --wind W --battery B --extra X]  "
+         "(default: best of a coarse sweep)\n"
+         "           [--timeline-out PATH]  hourly recording "
+         "(.csv/.json)\n"
+         "           [--cache-dir DIR] [--resume]  reuse optimize's "
+         "sweep cache for the coarse sweep\n",
+         [](const ArgParser &args, obs::RunStatus &) {
+             return cmdExplain(args);
+         }},
+        {"bench",
+         {"smoke", "reps", "tag", "out", "compare", "threshold", "input"},
+         "  bench    [--smoke] [--reps N] [--tag NAME] [--out PATH]\n"
+         "           run the macro perf scenarios under the phase "
+         "profiler; write BENCH_<tag>.json\n"
+         "           [--compare BASE [--threshold PCT]]  regression "
+         "gate vs a baseline report (exit 4 on breach)\n"
+         "           [--compare BASE --input CAND]  compare two "
+         "existing reports, run nothing\n",
+         [](const ArgParser &args, obs::RunStatus &) {
+             return tools::cmdBench(args);
+         }},
+        {"inspect",
+         {"format"},
+         "  inspect  <journal> [--format text|json|csv]\n"
+         "           decision breakdown, wave timeline, cache "
+         "efficacy and per-worker utilization of a\n"
+         "           --journal-out file; --trace-out adds per-wave "
+         "counter tracks to the span trace\n",
+         [](const ArgParser &args, obs::RunStatus &) {
+             return tools::cmdInspect(args);
+         }},
+        {"run",
+         {"refine", "exhaustive", "report-out", "cache-dir",
+          "journal-out", "scenario-dir", "list", "tag", "check"},
+         "  run      <scenario-id> [--refine|--exhaustive] "
+         "[--report-out PATH] [--cache-dir DIR]\n"
+         "           [--journal-out PATH] [--scenario-dir DIR]  "
+         "execute a declarative scenario; the report's\n"
+         "           best point is bit-identical between exhaustive "
+         "and --refine runs\n"
+         "           --list [--tag TAG]     table of runnable "
+         "scenarios\n"
+         "           --check                validate every scenario "
+         "file and exit\n"
+         "           (optimize --scenario ID runs the same path; "
+         "unknown ids exit 5 with a near-miss list)\n",
+         [](const ArgParser &args, obs::RunStatus &) {
+             return tools::cmdRun(args);
+         }},
+    };
+    return table;
+}
+
 void
 usage()
 {
+    std::cout << "carbonx — Carbon Explorer CLI\n"
+                 "usage: carbonx <command> [flags]\n\n"
+                 "commands:\n";
+    for (const Command &command : commands())
+        std::cout << command.usage;
     std::cout <<
-        "carbonx — Carbon Explorer CLI\n"
-        "usage: carbonx <command> [flags]\n\n"
-        "commands:\n"
-        "  sites                              list Table 1 sites\n"
-        "  regions                            list balancing "
-        "authorities\n"
-        "  coverage --ba PACE --dc 19 --solar 100 --wind 50\n"
-        "  optimize --ba PACE --dc 19 [--strategy all|ren|batt|cas|"
-        "combined] [--reach 10] [--progress]\n"
-        "           [--refine]             adaptive multi-resolution "
-        "sweep (bit-identical best, fewer simulations)\n"
-        "           [--cache-dir DIR]      persistent result cache; "
-        "reruns replay cached evaluations\n"
-        "           [--resume]             require cached results "
-        "(continue an interrupted --cache-dir sweep)\n"
-        "           [--abort-after-points N]  checkpoint then abort "
-        "after N fresh simulations (exit 3; CI hook)\n"
-        "           [--journal-out PATH]   per-decision sweep journal "
-        "(render with `carbonx inspect`)\n"
-        "           [--status-out PATH]    live status page, "
-        "atomically rewritten at each progress milestone\n"
-        "                                  (SIGUSR1 dumps the same "
-        "page to stderr on demand)\n"
-        "  battery  --ba PACE --dc 19 --solar 100 --wind 50 "
-        "[--target 99.99]\n"
-        "  schedule --ba PACE --dc 19 [--flex 0.4] [--cap-mult 1.3]\n"
-        "  fleet    [--flex 0.4]\n"
-        "  explain  --ba PACE --dc 19 [--strategy ren|batt|cas|"
-        "combined]\n"
-        "           [--solar S --wind W --battery B --extra X]  "
-        "(default: best of a coarse sweep)\n"
-        "           [--timeline-out PATH]  hourly recording "
-        "(.csv/.json)\n"
-        "           [--cache-dir DIR] [--resume]  reuse optimize's "
-        "sweep cache for the coarse sweep\n"
-        "  bench    [--smoke] [--reps N] [--tag NAME] [--out PATH]\n"
-        "           run the macro perf scenarios under the phase "
-        "profiler; write BENCH_<tag>.json\n"
-        "           [--compare BASE [--threshold PCT]]  regression "
-        "gate vs a baseline report (exit 4 on breach)\n"
-        "           [--compare BASE --input CAND]  compare two "
-        "existing reports, run nothing\n"
-        "  inspect  <journal> [--format text|json|csv]\n"
-        "           decision breakdown, wave timeline, cache "
-        "efficacy and per-worker utilization of a\n"
-        "           --journal-out file; --trace-out adds per-wave "
-        "counter tracks to the span trace\n"
-        "  run      <scenario-id> [--refine|--exhaustive] "
-        "[--report-out PATH] [--cache-dir DIR]\n"
-        "           [--journal-out PATH] [--scenario-dir DIR]  "
-        "execute a declarative scenario; the report's\n"
-        "           best point is bit-identical between exhaustive "
-        "and --refine runs\n"
-        "           --list [--tag TAG]     table of runnable "
-        "scenarios\n"
-        "           --check                validate every scenario "
-        "file and exit\n"
-        "           (optimize --scenario ID runs the same path; "
-        "unknown ids exit 5 with a near-miss list)\n\n"
+        "\n"
         "common flags: --seed N --year Y\n"
         "              --threads N          sweep worker threads "
         "(0 = auto; CARBONX_THREADS env also honored)\n"
@@ -695,41 +777,34 @@ main(int argc, char **argv)
         usage();
         return 2;
     }
-    const std::string &command = args.positionals().front();
-    int rc = 2;
+    const std::string &name = args.positionals().front();
+    const auto command =
+        std::find_if(commands().begin(), commands().end(),
+                     [&name](const Command &c) { return c.name == name; });
+    if (command == commands().end()) {
+        std::cerr << "unknown command: " << name << "\n\n";
+        usage();
+        return 2;
+    }
+    // Before anything runs: a flag the command does not declare (a
+    // typo, or --help) is a usage error, not a silent no-op.
+    try {
+        std::vector<std::string_view> known = kCommonFlags;
+        known.insert(known.end(), command->flags.begin(),
+                     command->flags.end());
+        args.requireKnownFlags(known);
+    } catch (const carbonx::UserError &e) {
+        std::cerr << "carbonx: " << e.what() << "\nusage:\n"
+                  << command->usage;
+        return 2;
+    }
     // Outlives the explorer inside cmdOptimize: sweep workers publish
     // into it, and it stays valid while exceptions unwind.
     carbonx::obs::RunStatus run_status;
     try {
         ObsSession obs_session(args, argc, argv);
         try {
-            if (command == "sites")
-                rc = cmdSites();
-            else if (command == "regions")
-                rc = cmdRegions();
-            else if (command == "coverage")
-                rc = cmdCoverage(args);
-            else if (command == "optimize")
-                rc = cmdOptimize(args, run_status);
-            else if (command == "battery")
-                rc = cmdBattery(args);
-            else if (command == "schedule")
-                rc = cmdSchedule(args);
-            else if (command == "fleet")
-                rc = cmdFleet(args);
-            else if (command == "explain")
-                rc = cmdExplain(args);
-            else if (command == "bench")
-                rc = tools::cmdBench(args);
-            else if (command == "inspect")
-                rc = tools::cmdInspect(args);
-            else if (command == "run")
-                rc = tools::cmdRun(args);
-            else {
-                std::cerr << "unknown command: " << command << "\n\n";
-                usage();
-                return 2;
-            }
+            const int rc = command->run(args, run_status);
             obs_session.flush();
             return rc;
         } catch (const carbonx::SweepAborted &e) {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <filesystem>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/error.h"
@@ -693,6 +695,68 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
            std::to_string(stats.cells_total) + " cells excluded, " +
            std::to_string(stats.margin_inflations) +
            " margin inflations)");
+    return out;
+}
+
+const char *
+sweepModeName(SweepMode mode)
+{
+    return mode == SweepMode::Exhaustive ? "exhaustive" : "adaptive";
+}
+
+AdaptiveSweepResult
+runSweep(CarbonExplorer &explorer, const DesignSpace &space,
+         const SweepRequest &request)
+{
+    std::unique_ptr<SweepResultCache> cache;
+    if (!request.cache_path.empty()) {
+        const auto dir =
+            std::filesystem::path(request.cache_path).parent_path();
+        if (!dir.empty())
+            std::filesystem::create_directories(dir);
+        cache = std::make_unique<SweepResultCache>(
+            request.cache_path, explorer.configDigest(request.strategy),
+            request.cache_provenance);
+        if (request.resume) {
+            require(cache->loadedFromDisk() > 0,
+                    "--resume: no reusable results in " +
+                        request.cache_path +
+                        (cache->rebuildReason().empty()
+                             ? std::string(" (no prior run with this "
+                                           "configuration?)")
+                             : " (" + cache->rebuildReason() + ")"));
+            inform("resuming " + strategyName(request.strategy) +
+                   " sweep: " + std::to_string(cache->loadedFromDisk()) +
+                   " cached evaluations from " + request.cache_path);
+        }
+        obs::DecisionJournal *journal = explorer.journal();
+        if (journal != nullptr && !cache->rebuildReason().empty()) {
+            obs::DecisionRow row;
+            row.verdict = obs::DecisionVerdict::CacheCorrupt;
+            row.predicted_kg = std::numeric_limits<double>::quiet_NaN();
+            row.actual_kg = row.predicted_kg;
+            row.margin_kg = row.predicted_kg;
+            row.ts_us = journal->nowUs();
+            journal->sink(0).record(row);
+        }
+    }
+
+    // Detach on every exit: the cache dies with this frame, and a
+    // SweepAborted must not leave the explorer pointing at it.
+    struct Detach
+    {
+        CarbonExplorer &explorer;
+        ~Detach() { explorer.setSweepCache(nullptr); }
+    } detach{explorer};
+    explorer.setSweepCache(cache.get());
+
+    if (request.mode == SweepMode::Adaptive)
+        return AdaptiveSweeper(explorer).sweep(space, request.strategy,
+                                               request.refine_rounds);
+    AdaptiveSweepResult out;
+    out.result =
+        explorer.optimize(space, request.strategy, request.refine_rounds);
+    out.stats.lattice_points = space.sizeFor(request.strategy);
     return out;
 }
 

@@ -107,15 +107,6 @@ struct AdaptiveSweepStats
     size_t cells_refined = 0;    ///< Cells scanned to full resolution.
     size_t cells_excluded = 0;   ///< Cells proven not to matter.
     size_t margin_inflations = 0; ///< Audit-triggered margin doublings.
-
-    /** Points evaluated (simulated or cached) / lattice points. */
-    double evaluatedFraction() const
-    {
-        return lattice_points > 0
-            ? 1.0 - static_cast<double>(points_skipped) /
-                    static_cast<double>(lattice_points)
-            : 0.0;
-    }
 };
 
 /** Outcome of AdaptiveSweeper::sweep. */
@@ -187,6 +178,43 @@ class AdaptiveSweeper
 
     const CarbonExplorer &explorer_;
 };
+
+/** Which sweep driver runs a study. */
+enum class SweepMode
+{
+    Exhaustive, ///< CarbonExplorer::optimize over the full lattice.
+    Adaptive,   ///< AdaptiveSweeper (bit-identical best, fewer sims).
+};
+
+/** Stable lowercase name ("exhaustive" / "adaptive"). */
+const char *sweepModeName(SweepMode mode);
+
+/** One sweep as a front end asks for it (see runSweep). */
+struct SweepRequest
+{
+    Strategy strategy = Strategy::RenewableBatteryCas;
+    SweepMode mode = SweepMode::Exhaustive;
+    int refine_rounds = 0; ///< Zoom rounds after the first pass.
+    /** Result cache file ("" = none); its directory is made on demand. */
+    std::string cache_path;
+    std::string cache_provenance; ///< Embedded in a new cache file.
+    /** `--resume`: a cache with no reusable results is a UserError. */
+    bool resume = false;
+};
+
+/**
+ * Run one whole sweep, the path `optimize`, `explain` and `carbonx
+ * run` all take: open the request's cache (keyed by
+ * configDigest(strategy)) and attach it; when it dropped on-disk state
+ * and @p explorer has a journal, journal one CacheCorrupt row; run the
+ * exhaustive or adaptive driver over @p space; detach the cache, also
+ * on a throw. The journal stays the caller's to flush. Exhaustive
+ * stats are zero but lattice_points (the first pass's lattice).
+ * @throws UserError, SweepAborted (after the cache checkpoint).
+ */
+AdaptiveSweepResult runSweep(CarbonExplorer &explorer,
+                             const DesignSpace &space,
+                             const SweepRequest &request);
 
 } // namespace carbonx
 

@@ -380,9 +380,6 @@ class CarbonExplorer
      */
     void setSweepCache(SweepResultCache *cache) { sweep_cache_ = cache; }
 
-    /** The attached sweep cache, or null. */
-    SweepResultCache *sweepCache() const { return sweep_cache_; }
-
     /**
      * Attach a decision journal (borrowed; may be null to detach).
      * Every sweep then records one row per design-point decision —
@@ -424,9 +421,6 @@ class CarbonExplorer
         abort_after_points_ = n;
         fresh_simulated_points_ = 0;
     }
-
-    /** The configured abort threshold (0 = disabled). */
-    size_t abortAfterPoints() const { return abort_after_points_; }
 
     const ExplorerConfig &config() const { return config_; }
     const GridTrace &gridTrace() const { return grid_trace_; }

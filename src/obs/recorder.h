@@ -12,11 +12,13 @@
  * curtailment, CAS-shifted energy, backlog, hourly operational
  * carbon) into the recorder's column vectors.
  *
- * Zero-overhead contract: with no recorder attached the kernel pays
- * one null-pointer check per lane-hour and nothing else — no branches
- * into recording code, no extra stores — so the parallel sweep stays
- * bit-identical and its throughput unchanged (guarded by
- * BM_SimulateRecorded in bench_perf_micro).
+ * Zero-overhead contract: the kernel's general hour loop is one body
+ * compiled twice (BatchedSimulationEngine::runGeneral<bool Record>).
+ * Sweeps run the `false` instantiation, or the plain loop, and neither
+ * contains recording code — no checks, no branches, no extra stores —
+ * so the parallel sweep stays bit-identical and its throughput
+ * unchanged. Only a run handed a recorder takes the `true` one (its
+ * cost is what BM_SimulateRecorded in bench_perf_micro measures).
  *
  * Storage is columnar (structure-of-arrays): the invariant auditor
  * and the timeline exporters scan one field across all hours far more

@@ -78,13 +78,6 @@ SpanTracer::addCounterTrack(const std::string &name,
 }
 
 size_t
-SpanTracer::counterTrackCount() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return counters_.size();
-}
-
-size_t
 SpanTracer::eventCount() const
 {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -62,9 +62,6 @@ class SpanTracer
     void addCounterTrack(const std::string &name,
                          const std::vector<double> &values);
 
-    /** Counter tracks attached so far. */
-    size_t counterTrackCount() const;
-
     /** Completed spans recorded so far. */
     size_t eventCount() const;
 

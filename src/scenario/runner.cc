@@ -1,7 +1,6 @@
 #include "runner.h"
 
 #include <cmath>
-#include <filesystem>
 #include <ostream>
 #include <sstream>
 
@@ -56,14 +55,7 @@ runScenario(const Scenario &s, const ScenarioRunOptions &opts)
     out.config_digest = explorer->configDigest(s.strategy);
     out.lattice_points = space.sizeFor(s.strategy);
 
-    std::unique_ptr<SweepResultCache> cache;
-    if (!opts.cache_dir.empty()) {
-        std::filesystem::create_directories(opts.cache_dir);
-        cache = std::make_unique<SweepResultCache>(
-            opts.cache_dir + "/" + s.id + ".evals",
-            out.config_digest, "scenario " + s.id);
-        explorer->setSweepCache(cache.get());
-    }
+    // The journal goes first, so it sees the cache open in runSweep.
     std::unique_ptr<obs::DecisionJournal> journal;
     if (!opts.journal_path.empty()) {
         journal = std::make_unique<obs::DecisionJournal>(
@@ -72,16 +64,17 @@ runScenario(const Scenario &s, const ScenarioRunOptions &opts)
         explorer->setJournal(journal.get());
     }
 
-    if (mode == SweepMode::Exhaustive) {
-        out.result =
-            explorer->optimize(space, s.strategy, s.refine_rounds);
-        out.stats.lattice_points = out.lattice_points;
-    } else {
-        AdaptiveSweepResult adaptive = AdaptiveSweeper(*explorer).sweep(
-            space, s.strategy, s.refine_rounds);
-        out.result = std::move(adaptive.result);
-        out.stats = adaptive.stats;
+    SweepRequest request;
+    request.strategy = s.strategy;
+    request.mode = mode;
+    request.refine_rounds = s.refine_rounds;
+    if (!opts.cache_dir.empty()) {
+        request.cache_path = opts.cache_dir + "/" + s.id + ".evals";
+        request.cache_provenance = "scenario " + s.id;
     }
+    AdaptiveSweepResult sweep = runSweep(*explorer, space, request);
+    out.result = std::move(sweep.result);
+    out.stats = sweep.stats;
     if (journal != nullptr) {
         journal->flush();
         explorer->setJournal(nullptr);

@@ -4,11 +4,11 @@
  *
  * The runner is the one place that translates the declarative format
  * into live objects: ExplorerConfig (or ExternalTraces), the bounded
- * DesignSpace, the sweep driver named by the scenario's mode, the
- * optional persistent result cache, and the provenance-stamped
- * report. `carbonx run` and the conformance suite both go through
- * these functions, so a scenario behaves identically under the CLI
- * and under ctest.
+ * DesignSpace, the SweepRequest that runSweep (core/adaptive_sweep.h)
+ * executes with its driver and optional result cache, and the
+ * provenance-stamped report. `carbonx run` and the conformance suite
+ * both go through these functions, so a scenario behaves identically
+ * under the CLI and under ctest.
  */
 
 #ifndef CARBONX_SCENARIO_RUNNER_H

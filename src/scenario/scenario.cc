@@ -182,12 +182,6 @@ validateAxis(const Scenario &s, const char *name, const AxisSpec &axis)
 
 } // namespace
 
-const char *
-sweepModeName(SweepMode mode)
-{
-    return mode == SweepMode::Exhaustive ? "exhaustive" : "adaptive";
-}
-
 bool
 Scenario::hasTag(const std::string &tag) const
 {

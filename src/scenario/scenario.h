@@ -28,21 +28,12 @@
 
 #include "common/json.h"
 #include "common/units.h"
+#include "core/adaptive_sweep.h"
 #include "core/design_space.h"
 #include "core/explorer.h"
 
 namespace carbonx::scenario
 {
-
-/** Which sweep driver executes the scenario. */
-enum class SweepMode
-{
-    Exhaustive, ///< CarbonExplorer::optimize over the full lattice.
-    Adaptive,   ///< AdaptiveSweeper (bit-identical best, fewer sims).
-};
-
-/** Stable lowercase name ("exhaustive" / "adaptive"). */
-const char *sweepModeName(SweepMode mode);
 
 /** Optional golden expectations a scenario declares about its best. */
 struct ScenarioExpectations

@@ -459,8 +459,9 @@ BatchedSimulationEngine::run(SimulationBatch &batch,
     bool plain = recorder == nullptr;
     for (size_t l = 0; l < m; ++l) {
         SimulationBatch::Lane &lane = batch.lanes_[l];
-        if (lane.cap < peak_mw_ - kCapacityCapSlackMw)
-            throw UserError("capacity cap below the load peak");
+        // Written so that a NaN cap fails it too.
+        if (!(lane.cap >= peak_mw_ - kCapacityCapSlackMw))
+            throw UserError("capacity_cap_mw below the load peak");
         if (lane.grid_charging && grid_intensity_ == nullptr)
             throw UserError(
                 "grid-charging policy requires an intensity series");

@@ -57,23 +57,23 @@ SimulationBatch::addLane(const BatchLaneConfig &lane)
 {
     if (size_ >= capacity_)
         failLane("simulation batch is full");
-    if (lane.solar_mw.value() < 0.0 || lane.wind_mw.value() < 0.0)
-        failLane("investments must be >= 0");
-    if (lane.flexible_ratio.value() < 0.0 ||
-        lane.flexible_ratio.value() > 1.0)
-        failLane("flexible ratio must be in [0, 1]");
-    // NaN fails every comparison, so the finiteness test comes first;
-    // the engine clamps a long finite window to the trace before it
+    // Each range check reads !(inside), so NaN fails it too.
+    if (!(lane.solar_mw.value() >= 0.0 && lane.wind_mw.value() >= 0.0))
+        failLane("solar_mw and wind_mw must be >= 0");
+    if (!(lane.flexible_ratio.value() >= 0.0 &&
+          lane.flexible_ratio.value() <= 1.0))
+        failLane("flexible_ratio must be in [0, 1]");
+    // The engine clamps a long finite window to the trace before it
     // becomes an hour count.
     if (!std::isfinite(lane.slo_window_hours.value()))
         failLane("slo_window_hours must be finite");
     if (lane.slo_window_hours.value() < 1.0)
-        failLane("SLO window must be at least one hour");
+        failLane("slo_window_hours must be at least one hour");
 
     const bool grid_charging = lane.grid_charge_policy ==
         GridChargePolicy::BelowIntensityThreshold;
-    if (grid_charging && lane.grid_charge_threshold_gkwh.value() < 0.0)
-        failLane("grid-charge threshold must be >= 0");
+    if (grid_charging && !(lane.grid_charge_threshold_gkwh.value() >= 0.0))
+        failLane("grid_charge_threshold_gkwh must be >= 0");
 
     Lane rec;
     rec.cap = lane.capacity_cap_mw.value();
@@ -87,29 +87,30 @@ SimulationBatch::addLane(const BatchLaneConfig &lane)
         // capacity), DoD floor ((1 - DoD) x capacity), usable
         // capacity (DoD x capacity) and initial content.
         const BatteryChemistry &chem = *lane.chemistry;
-        if (lane.battery_capacity_mwh.value() < 0.0)
-            failLane("battery capacity must be >= 0");
-        if (chem.charge_efficiency <= 0.0 ||
-            chem.charge_efficiency > 1.0)
-            failLane("charge efficiency must be in (0, 1]");
-        if (chem.discharge_efficiency <= 0.0 ||
-            chem.discharge_efficiency > 1.0)
-            failLane("discharge efficiency must be in (0, 1]");
-        if (chem.max_charge_c_rate <= 0.0 ||
-            chem.max_discharge_c_rate <= 0.0)
-            failLane("C-rates must be positive");
-        if (chem.depth_of_discharge <= 0.0 ||
-            chem.depth_of_discharge > 1.0)
-            failLane("depth of discharge must be in (0, 1]");
+        if (!(lane.battery_capacity_mwh.value() >= 0.0))
+            failLane("battery_capacity_mwh must be >= 0");
+        if (!(chem.charge_efficiency > 0.0 &&
+              chem.charge_efficiency <= 1.0))
+            failLane("charge_efficiency must be in (0, 1]");
+        if (!(chem.discharge_efficiency > 0.0 &&
+              chem.discharge_efficiency <= 1.0))
+            failLane("discharge_efficiency must be in (0, 1]");
+        if (!(chem.max_charge_c_rate > 0.0 &&
+              chem.max_discharge_c_rate > 0.0))
+            failLane("max_charge_c_rate and max_discharge_c_rate must "
+                     "be positive");
+        if (!(chem.depth_of_discharge > 0.0 &&
+              chem.depth_of_discharge <= 1.0))
+            failLane("depth_of_discharge must be in (0, 1]");
 
         const double capacity = lane.battery_capacity_mwh.value();
         const double min_soc = 1.0 - chem.depth_of_discharge;
         double soc = lane.initial_soc;
         if (soc < 0.0)
             soc = min_soc;
-        if (soc < min_soc - kUnitIntervalSlack ||
-            soc > 1.0 + kUnitIntervalSlack)
-            failLane("initial SoC outside the DoD window");
+        if (!(soc >= min_soc - kUnitIntervalSlack &&
+              soc <= 1.0 + kUnitIntervalSlack))
+            failLane("initial_soc outside the DoD window");
 
         rec.has_battery = true;
         rec.bat_capacity = capacity;
@@ -123,7 +124,7 @@ SimulationBatch::addLane(const BatchLaneConfig &lane)
     } else if (lane.battery_capacity_mwh.value() != 0.0) {
         // Without a battery the record keeps its zero parameters; the
         // capacity <= 0 early-outs of the battery steps fire first.
-        failLane("battery capacity requires a chemistry");
+        failLane("battery_capacity_mwh requires a chemistry");
     }
 
     lanes_.push_back(rec);

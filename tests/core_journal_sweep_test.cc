@@ -5,7 +5,9 @@
  * statistics, actual totals must match the evaluations bit-for-bit,
  * attaching a journal must not perturb results at any thread count,
  * and the multi-threaded emission path must be race-free (this suite
- * runs under TSan in CI).
+ * runs under TSan in CI). RunSweep.* covers the one front door every
+ * front end sweeps through: a rebuilt cache is journaled once, and a
+ * resume finds results or names the file that has none.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +15,13 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/parallel.h"
 #include "core/adaptive_sweep.h"
 #include "core/explorer.h"
@@ -343,6 +348,81 @@ TEST(JournalSweep, WarmReplayOfRevivedPointsKeepsTheIdentities)
     expectReconciles(warm, warm_stats);
     std::remove(cache_path.c_str());
     std::remove(journal_path.c_str());
+}
+
+/** Append bytes that form no valid cache block to @p path. */
+void
+appendGarbageTail(const std::string &path)
+{
+    std::ofstream tail(path, std::ios::binary | std::ios::app);
+    tail << "not a cache block";
+}
+
+TEST(RunSweep, CorruptCacheJournalsOneRowAndKeepsTheValidRecords)
+{
+    const std::string dir = tempPath("run_sweep_corrupt");
+    const std::string journal_path = dir + "/rerun.cxj";
+    std::filesystem::remove_all(dir);
+    CarbonExplorer explorer(ercoConfig());
+    SweepRequest request;
+    request.strategy = Strategy::RenewablesOnly;
+    request.mode = SweepMode::Adaptive;
+    // The call creates the cache's directory.
+    request.cache_path = dir + "/sweep.cxrc";
+
+    const AdaptiveSweepResult cold =
+        runSweep(explorer, ercoSpace(), request);
+    ASSERT_GT(cold.stats.simulated_points, 0u);
+
+    // With a journal: exactly one cache_corrupt row, every record
+    // before the garbage replayed, and the identities still hold.
+    appendGarbageTail(request.cache_path);
+    {
+        obs::DecisionJournal journal(journal_path, 1);
+        explorer.setJournal(&journal);
+        const AdaptiveSweepResult warm =
+            runSweep(explorer, ercoSpace(), request);
+        explorer.setJournal(nullptr);
+        journal.flush();
+        EXPECT_EQ(warm.stats.simulated_points, 0u);
+        EXPECT_EQ(warm.stats.cache_hits, cold.stats.simulated_points);
+        EXPECT_EQ(warm.result.best.totalKg().value(),
+                  cold.result.best.totalKg().value());
+        const obs::JournalData data = obs::readJournal(journal_path);
+        EXPECT_EQ(
+            countVerdict(data.rows, obs::DecisionVerdict::CacheCorrupt),
+            1u);
+        expectReconciles(data, warm.stats);
+    }
+
+    // Without one: no row to write, and the same replay.
+    appendGarbageTail(request.cache_path);
+    const AdaptiveSweepResult quiet =
+        runSweep(explorer, ercoSpace(), request);
+    EXPECT_EQ(quiet.stats.simulated_points, 0u);
+    EXPECT_EQ(quiet.stats.cache_hits, cold.stats.simulated_points);
+    EXPECT_EQ(quiet.result.best.totalKg().value(),
+              cold.result.best.totalKg().value());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(RunSweep, ResumeWithoutCachedResultsNamesThePath)
+{
+    const std::string path = tempPath("run_sweep_resume_empty.cxrc");
+    std::remove(path.c_str());
+    CarbonExplorer explorer(ercoConfig());
+    SweepRequest request;
+    request.strategy = Strategy::RenewablesOnly;
+    request.cache_path = path;
+    request.resume = true;
+    try {
+        runSweep(explorer, ercoSpace(), request);
+        ADD_FAILURE() << "a resume over an empty cache ran";
+    } catch (const UserError &e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -1,11 +1,12 @@
 /**
  * @file
- * Integration tests of `carbonx run` and the scenario plumbing of
- * `carbonx optimize --scenario` against the real CLI binary: listing,
- * validation, report byte-stability, the exhaustive/--refine report
- * contract, and the dedicated exit code (5) with a near-miss list for
- * unknown scenario ids and empty registries. Tests skip when the
- * binary is not at the expected build location.
+ * Integration tests of `carbonx run`, the one scenario command,
+ * against the real CLI binary: listing, validation, report
+ * byte-stability, the exhaustive/--refine report contract, the
+ * dedicated exit code (5) with a near-miss list for unknown scenario
+ * ids and empty registries, and the journaled record of a corrupted
+ * result cache. Tests skip when the binary is not at the expected
+ * build location.
  */
 
 #include <gtest/gtest.h>
@@ -170,13 +171,22 @@ TEST(RunCli, UnknownScenarioIdExitsFiveWithNearMisses)
     EXPECT_NE(r.err.find("pace-combined"), std::string::npos) << r.err;
 }
 
-TEST(RunCli, OptimizeScenarioFlagSharesTheExitCode)
+TEST(RunCli, OptimizeRejectsTheScenarioFlag)
 {
+    // `carbonx run` is the one scenario command: optimize declares no
+    // --scenario flag, so it stops with its usage before running
+    // anything.
     REQUIRE_CLI();
-    const CliRun r =
-        runCli("optimize --scenario no-such-study " + scenarioDirFlag());
-    EXPECT_EQ(r.exit_code, kExitNoScenario) << r.out << r.err;
-    EXPECT_NE(r.err.find("no-such-study"), std::string::npos) << r.err;
+    const CliRun r = runCli("optimize --scenario pace-ren");
+    EXPECT_EQ(r.exit_code, 2) << r.out << r.err;
+    EXPECT_NE(r.err.find("unknown flag --scenario"), std::string::npos)
+        << r.err;
+    EXPECT_NE(r.err.find("usage:\n  optimize --ba PACE --dc 19"),
+              std::string::npos)
+        << r.err;
+    EXPECT_NE(r.err.find("[--status-out PATH]"), std::string::npos)
+        << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
 }
 
 TEST(RunCli, EmptyRegistryExitsFive)
@@ -254,6 +264,37 @@ TEST(RunCli, RefineReportMatchesExhaustiveModuloSweepLines)
               std::string::npos);
     std::remove(a.c_str());
     std::remove(b.c_str());
+}
+
+TEST(RunCli, RerunOverACorruptedCacheJournalsIt)
+{
+    // A cache that drops on-disk state while loading is journaled as
+    // one cache_corrupt row, under `run` as under `optimize`; the
+    // valid records before the garbage tail are still replayed.
+    REQUIRE_CLI();
+    const std::string dir = testing::TempDir() + "run_corrupt_cache";
+    const std::string journal = dir + "/rerun.cxj";
+    fs::remove_all(dir);
+    const std::string base =
+        "run pace-ren " + scenarioDirFlag() + " --cache-dir " + dir;
+    const CliRun cold = runCli(base);
+    ASSERT_EQ(cold.exit_code, 0) << cold.err;
+    {
+        std::ofstream tail(dir + "/pace-ren.evals",
+                           std::ios::binary | std::ios::app);
+        tail << "not a cache block";
+    }
+    const CliRun rerun = runCli(base + " --journal-out " + journal);
+    ASSERT_EQ(rerun.exit_code, 0) << rerun.err;
+    EXPECT_EQ(rerun.out, cold.out);
+
+    const CliRun inspect = runCli("inspect " + journal + " --format json");
+    ASSERT_EQ(inspect.exit_code, 0) << inspect.err;
+    EXPECT_NE(inspect.out.find("\"cache_hit\": 49, \"re_armed\": 0, "
+                               "\"cache_corrupt\": 1}"),
+              std::string::npos)
+        << inspect.out;
+    fs::remove_all(dir);
 }
 
 TEST(RunCli, UsageMentionsRunSubcommand)

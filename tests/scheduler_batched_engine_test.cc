@@ -543,6 +543,51 @@ TEST(BatchedEngine, ValidationMatchesScalarContracts)
     bad = lfp;
     bad.depth_of_discharge = 0.8;
     EXPECT_THROW(batch.addLane(withBattery(bad, 10.0, 0.1)), UserError);
+
+    // NaN fails every comparison, so each range check must be
+    // written to fail on it: one NaN per knob, rejected by name.
+    const double nan = std::nan("");
+    const auto expectRejects = [&batch](const BatchLaneConfig &l,
+                                        const std::string &knob) {
+        try {
+            batch.addLane(l);
+            ADD_FAILURE() << "NaN " << knob << " was accepted";
+        } catch (const UserError &e) {
+            EXPECT_NE(std::string(e.what()).find(knob),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    BatchLaneConfig nan_lane = lane;
+    nan_lane.solar_mw = MegaWatts(nan);
+    expectRejects(nan_lane, "solar_mw");
+    nan_lane = lane;
+    nan_lane.wind_mw = MegaWatts(nan);
+    expectRejects(nan_lane, "wind_mw");
+    nan_lane = lane;
+    nan_lane.flexible_ratio = Fraction(nan);
+    expectRejects(nan_lane, "flexible_ratio");
+    nan_lane = withBattery(lfp, 10.0, -1.0);
+    nan_lane.grid_charge_policy = GridChargePolicy::BelowIntensityThreshold;
+    nan_lane.grid_charge_threshold_gkwh = GramsPerKwh(nan);
+    expectRejects(nan_lane, "grid_charge_threshold_gkwh");
+    expectRejects(withBattery(lfp, nan, -1.0), "battery_capacity_mwh");
+    expectRejects(withBattery(lfp, 10.0, nan), "initial_soc");
+    bad = lfp;
+    bad.charge_efficiency = nan;
+    expectRejects(withBattery(bad, 10.0, -1.0), "charge_efficiency");
+    bad = lfp;
+    bad.discharge_efficiency = nan;
+    expectRejects(withBattery(bad, 10.0, -1.0), "discharge_efficiency");
+    bad = lfp;
+    bad.max_charge_c_rate = nan;
+    expectRejects(withBattery(bad, 10.0, -1.0), "max_charge_c_rate");
+    bad = lfp;
+    bad.max_discharge_c_rate = nan;
+    expectRejects(withBattery(bad, 10.0, -1.0), "max_discharge_c_rate");
+    bad = lfp;
+    bad.depth_of_discharge = nan;
+    expectRejects(withBattery(bad, 10.0, -1.0), "depth_of_discharge");
     EXPECT_EQ(batch.size(), 0u);
 
     // Capacity cap below the load peak is an engine-side error.
@@ -552,6 +597,18 @@ TEST(BatchedEngine, ValidationMatchesScalarContracts)
     low_cap.capacity_cap_mw = MegaWatts(peak * 0.5);
     batch.addLane(low_cap);
     EXPECT_THROW(engine.run(batch), UserError);
+    batch.clear();
+    BatchLaneConfig nan_cap = lane;
+    nan_cap.capacity_cap_mw = MegaWatts(nan);
+    batch.addLane(nan_cap);
+    try {
+        engine.run(batch);
+        ADD_FAILURE() << "NaN capacity_cap_mw ran";
+    } catch (const UserError &e) {
+        EXPECT_NE(std::string(e.what()).find("capacity_cap_mw"),
+                  std::string::npos)
+            << e.what();
+    }
     batch.clear();
 
     // Grid charging needs an intensity series on the engine.

@@ -41,7 +41,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -237,64 +236,40 @@ parseStrategy(const std::string &name)
 }
 
 /**
- * Open the per-strategy persistent sweep cache when --cache-dir was
- * given (created on demand; one file per config digest, so unrelated
- * studies coexist in the same directory). --resume additionally
- * asserts that reusable results exist — a typo'd flag that changes
- * the digest then fails loudly instead of silently re-simulating
+ * The sweep of @p strategy as the flags ask for it. With --cache-dir
+ * the result cache lives there, one file per config digest, so
+ * unrelated studies coexist in the same directory. --resume makes
+ * runSweep require reusable results — a typo'd flag that changes the
+ * digest then fails loudly instead of silently re-simulating
  * everything.
  */
-std::unique_ptr<SweepResultCache>
-makeSweepCache(const ArgParser &args, const CarbonExplorer &explorer,
-               Strategy strategy)
+SweepRequest
+sweepRequestFrom(const ArgParser &args, const CarbonExplorer &explorer,
+                 Strategy strategy)
 {
+    SweepRequest request;
+    request.strategy = strategy;
+    request.resume = args.getBool("resume");
     const std::string dir = args.getString("cache-dir", "");
-    const bool resume = args.getBool("resume");
     if (dir.empty()) {
-        require(!resume, "--resume needs --cache-dir to know where "
-                         "the interrupted sweep's results live");
-        return nullptr;
+        require(!request.resume,
+                "--resume needs --cache-dir to know where the "
+                "interrupted sweep's results live");
+        return request;
     }
-    std::filesystem::create_directories(dir);
-    const uint64_t digest = explorer.configDigest(strategy);
-    const std::string path =
+    request.cache_path =
         (std::filesystem::path(dir) /
-         ("sweep-" + fnvHex(digest) + ".cxrc"))
+         ("sweep-" + fnvHex(explorer.configDigest(strategy)) + ".cxrc"))
             .string();
     std::ostringstream prov;
     obs::processProvenance().writeJson(prov, "");
-    auto cache =
-        std::make_unique<SweepResultCache>(path, digest, prov.str());
-    if (resume) {
-        require(cache->loadedFromDisk() > 0,
-                "--resume: no reusable results in " + path +
-                    (cache->rebuildReason().empty()
-                         ? std::string(" (no prior run with this "
-                                       "configuration?)")
-                         : " (" + cache->rebuildReason() + ")"));
-        inform("resuming " + strategyName(strategy) + " sweep: " +
-               std::to_string(cache->loadedFromDisk()) +
-               " cached evaluations from " + path);
-    }
-    return cache;
+    request.cache_provenance = prov.str();
+    return request;
 }
 
 int
 cmdOptimize(const ArgParser &args, obs::RunStatus &status)
 {
-    // Declarative path: --scenario resolves the whole study from the
-    // registry and shares `carbonx run`'s semantics, including exit
-    // code 5 on an unknown id or an empty registry.
-    if (args.has("scenario")) {
-        const scenario::ScenarioRegistry registry =
-            tools::loadScenarioRegistry(args);
-        const scenario::Scenario *s = tools::resolveScenario(
-            registry, args.getString("scenario", ""));
-        if (s == nullptr)
-            return tools::kExitNoScenario;
-        return tools::runResolvedScenario(*s, args);
-    }
-
     const ExplorerConfig config = configFrom(args);
     CarbonExplorer explorer(config);
     explorer.setAbortAfterPoints(
@@ -369,37 +344,21 @@ cmdOptimize(const ArgParser &args, obs::RunStatus &status)
     const bool adaptive = args.getBool("refine");
     std::vector<Evaluation> bests;
     for (Strategy s : strategies) {
-        const std::unique_ptr<SweepResultCache> cache =
-            makeSweepCache(args, explorer, s);
-        explorer.setSweepCache(cache.get());
-        if (journal != nullptr && cache != nullptr &&
-            !cache->rebuildReason().empty()) {
-            // The cache dropped corrupt or mismatched on-disk state
-            // while loading; journal it so `inspect` can explain a
-            // cold-looking run that was supposed to be warm.
-            obs::DecisionRow row;
-            row.verdict = obs::DecisionVerdict::CacheCorrupt;
-            row.predicted_kg =
-                std::numeric_limits<double>::quiet_NaN();
-            row.actual_kg = row.predicted_kg;
-            row.margin_kg = row.predicted_kg;
-            row.ts_us = journal->nowUs();
-            journal->sink(0).record(row);
-        }
+        SweepRequest request = sweepRequestFrom(args, explorer, s);
+        request.mode =
+            adaptive ? SweepMode::Adaptive : SweepMode::Exhaustive;
+        request.refine_rounds = 2;
+        const AdaptiveSweepResult sweep =
+            runSweep(explorer, space, request);
         if (adaptive) {
-            const AdaptiveSweepResult adaptive_result =
-                AdaptiveSweeper(explorer).sweep(space, s, 2);
-            const AdaptiveSweepStats &st = adaptive_result.stats;
+            const AdaptiveSweepStats &st = sweep.stats;
             std::cerr << "refine[" << strategyName(s) << "]: "
                       << st.simulated_points << " simulated, "
                       << st.cache_hits << " cached, "
                       << st.points_skipped << '/' << st.lattice_points
                       << " skipped\n";
-            bests.push_back(adaptive_result.result.best);
-        } else {
-            bests.push_back(explorer.optimize(space, s, 2).best);
         }
-        explorer.setSweepCache(nullptr);
+        bests.push_back(sweep.result.best);
     }
     if (journal != nullptr) {
         journal->flush();
@@ -515,11 +474,10 @@ cmdExplain(const ArgParser &args)
         // The coarse sweep reuses (and feeds) the persistent cache,
         // so `explain` after `optimize --cache-dir D` replays stored
         // evaluations instead of re-simulating its whole lattice.
-        const std::unique_ptr<SweepResultCache> cache =
-            makeSweepCache(args, explorer, strategy);
-        explorer.setSweepCache(cache.get());
-        sweep_best = explorer.optimize(space, strategy).best;
-        explorer.setSweepCache(nullptr);
+        sweep_best =
+            runSweep(explorer, space,
+                     sweepRequestFrom(args, explorer, strategy))
+                .result.best;
         point = sweep_best.point;
         from_sweep = true;
         std::cout << "Best of sweep: "
@@ -650,8 +608,7 @@ commands()
         {"optimize",
          {"ba", "dc", "flex", "strategy", "reach", "progress", "refine",
           "cache-dir", "resume", "abort-after-points", "journal-out",
-          "status-out", "scenario", "scenario-dir", "exhaustive",
-          "report-out"},
+          "status-out"},
          "  optimize --ba PACE --dc 19 [--strategy all|ren|batt|cas|"
          "combined] [--reach 10] [--progress]\n"
          "           [--refine]             adaptive multi-resolution "
@@ -737,8 +694,7 @@ commands()
          "scenarios\n"
          "           --check                validate every scenario "
          "file and exit\n"
-         "           (optimize --scenario ID runs the same path; "
-         "unknown ids exit 5 with a near-miss list)\n",
+         "           (unknown ids exit 5 with a near-miss list)\n",
          [](const ArgParser &args, obs::RunStatus &) {
              return tools::cmdRun(args);
          }},

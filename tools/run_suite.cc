@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/table.h"
+#include "scenario/registry.h"
 #include "scenario/runner.h"
 
 namespace carbonx::tools
@@ -16,7 +17,6 @@ namespace
 
 using carbonx::scenario::Scenario;
 using carbonx::scenario::ScenarioRegistry;
-using carbonx::scenario::SweepMode;
 
 int
 listScenarios(const ScenarioRegistry &reg, const ArgParser &args)
@@ -39,7 +39,7 @@ listScenarios(const ScenarioRegistry &reg, const ArgParser &args)
         const std::string site =
             s->traces_csv.empty() ? s->ba_code : "external";
         table.addRow({s->id, site, strategyName(s->strategy),
-                      scenario::sweepModeName(s->mode),
+                      sweepModeName(s->mode),
                       std::to_string(
                           s->designSpace().sizeFor(s->strategy)),
                       s->name});
@@ -78,15 +78,7 @@ checkScenarios(const ScenarioRegistry &reg, const ArgParser &args)
     return 0;
 }
 
-} // namespace
-
-ScenarioRegistry
-loadScenarioRegistry(const ArgParser &args)
-{
-    return ScenarioRegistry::loadDirectory(
-        args.getString("scenario-dir", "scenarios"));
-}
-
+/** Look up @p id; when missing, print why and the near misses. */
 const Scenario *
 resolveScenario(const ScenarioRegistry &reg, const std::string &id)
 {
@@ -116,6 +108,7 @@ resolveScenario(const ScenarioRegistry &reg, const std::string &id)
     return nullptr;
 }
 
+/** Run @p s and print its report; 1 on a violated expectation. */
 int
 runResolvedScenario(const Scenario &s, const ArgParser &args)
 {
@@ -149,10 +142,13 @@ runResolvedScenario(const Scenario &s, const ArgParser &args)
     return violations.empty() ? 0 : 1;
 }
 
+} // namespace
+
 int
 cmdRun(const ArgParser &args)
 {
-    const ScenarioRegistry reg = loadScenarioRegistry(args);
+    const ScenarioRegistry reg = ScenarioRegistry::loadDirectory(
+        args.getString("scenario-dir", "scenarios"));
 
     if (args.getBool("list"))
         return listScenarios(reg, args);

@@ -3,52 +3,25 @@
  * `carbonx run` — execute declarative scenarios from the registry.
  *
  * The registry (src/scenario) loads scenarios/ at startup; this suite
- * is the CLI face of it: listing, validation, and provenance-stamped
- * scenario runs. Scenario lookups share one failure convention across
- * `run` and `optimize --scenario`: an unknown id or an empty registry
- * prints a one-line diagnostic (with the closest committed ids) and
- * exits with kExitNoScenario — distinct from exit 1 so scripts can
- * tell "you typo'd the study name" from "the study failed".
+ * is the CLI face of it and the one scenario command: listing,
+ * validation, and provenance-stamped scenario runs, each swept
+ * through scenario::runScenario. An unknown id, an abstract base or
+ * an empty registry prints a one-line diagnostic (with the closest
+ * committed ids) and exits with kExitNoScenario — distinct from exit
+ * 1 so scripts can tell "you typo'd the study name" from "the study
+ * failed".
  */
 
 #ifndef CARBONX_TOOLS_RUN_SUITE_H
 #define CARBONX_TOOLS_RUN_SUITE_H
 
 #include "arg_parser.h"
-#include "scenario/registry.h"
 
 namespace carbonx::tools
 {
 
 /** Exit code for an unknown scenario id or an empty registry. */
 inline constexpr int kExitNoScenario = 5;
-
-/**
- * Load the registry from --scenario-dir (default "scenarios",
- * relative to the working directory). @throws UserError on any
- * invalid scenario file.
- */
-carbonx::scenario::ScenarioRegistry
-loadScenarioRegistry(const ArgParser &args);
-
-/**
- * Look up @p id in @p reg; on failure print the diagnostic plus the
- * near-miss list to stderr and return nullptr (callers then exit
- * kExitNoScenario).
- */
-const carbonx::scenario::Scenario *
-resolveScenario(const carbonx::scenario::ScenarioRegistry &reg,
-                const std::string &id);
-
-/**
- * Run one resolved scenario with the per-invocation flags
- * (--refine / --exhaustive, --cache-dir, --journal-out,
- * --report-out) and print the report to stdout. Declared
- * expectations are enforced: violations go to stderr and the exit
- * code is 1.
- */
-int runResolvedScenario(const carbonx::scenario::Scenario &s,
-                        const ArgParser &args);
 
 /**
  * Entry point for the `run` subcommand. Usage:

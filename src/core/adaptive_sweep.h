@@ -81,7 +81,6 @@ class SweepResultCache
     /** Persist buffered records as one block (see ResultCache). */
     void flush();
 
-    size_t size() const { return cache_.size(); }
     size_t loadedFromDisk() const { return cache_.loadedFromDisk(); }
     const std::string &rebuildReason() const
     {

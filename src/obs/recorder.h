@@ -18,7 +18,8 @@
  * contains recording code — no checks, no branches, no extra stores —
  * so the parallel sweep stays bit-identical and its throughput
  * unchanged. Only a run handed a recorder takes the `true` one (its
- * cost is what BM_SimulateRecorded in bench_perf_micro measures).
+ * cost is what the `simulate_recorded` scenario of `carbonx bench`
+ * measures).
  *
  * Storage is columnar (structure-of-arrays): the invariant auditor
  * and the timeline exporters scan one field across all hours far more

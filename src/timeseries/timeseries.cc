@@ -208,16 +208,6 @@ TimeSeries::averageDayProfile() const
     return sums;
 }
 
-TimeSeries
-TimeSeries::averageDayExpansion() const
-{
-    const auto profile = averageDayProfile();
-    TimeSeries out(year());
-    for (size_t h = 0; h < out.size(); ++h)
-        out.values_[h] = profile[h % kHoursPerDay];
-    return out;
-}
-
 std::vector<double>
 TimeSeries::window(size_t first, size_t count) const
 {

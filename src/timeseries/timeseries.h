@@ -111,12 +111,6 @@ class TimeSeries
      */
     std::array<double, 24> averageDayProfile() const;
 
-    /**
-     * Counterfactual series where every day is the average day
-     * (Fig. 8's overly optimistic assumption).
-     */
-    TimeSeries averageDayExpansion() const;
-
     /** Copy of hours [first, first+count). */
     std::vector<double> window(size_t first, size_t count) const;
 

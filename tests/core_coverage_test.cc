@@ -119,22 +119,22 @@ TEST(Coverage, AverageDayAssumptionIsOptimistic)
 TEST(Coverage, AverageDayCoverageEqualsTheExpandedYear)
 {
     // The analyzer keeps only the 24-hour average days; its answer
-    // must be bit-identical to the same sum over full-year series in
-    // which every day is the average day.
+    // must be bit-identical to the same sum over a full year in which
+    // every day is the average day.
     TimeSeries dc(kYear);
     for (size_t h = 0; h < dc.size(); ++h)
         dc[h] = 8.0 + static_cast<double>((h * 7) % 13) / 3.0;
     const CoverageAnalyzer cov(dc, solarShape(), windShape());
-    const TimeSeries dc_avg = dc.averageDayExpansion();
-    const TimeSeries solar_avg = solarShape().averageDayExpansion();
-    const TimeSeries wind_avg = windShape().averageDayExpansion();
+    const auto dc_avg = dc.averageDayProfile();
+    const auto solar_avg = solarShape().averageDayProfile();
+    const auto wind_avg = windShape().averageDayProfile();
     for (const double solar : {0.0, 7.5, 30.0}) {
         for (const double wind : {0.0, 12.25, 40.0}) {
             double unmet = 0.0;
             for (size_t h = 0; h < dc.size(); ++h) {
                 const double supply =
-                    solar_avg[h] * solar + wind_avg[h] * wind;
-                unmet += std::max(dc_avg[h] - supply, 0.0);
+                    solar_avg[h % 24] * solar + wind_avg[h % 24] * wind;
+                unmet += std::max(dc_avg[h % 24] - supply, 0.0);
             }
             EXPECT_EQ(cov.coverageAssumingAverageDay(MegaWatts(solar),
                                                      MegaWatts(wind)),

@@ -109,6 +109,9 @@ TEST(BenchCli, SmokeWritesParseableReport)
                               "--out " +
                               report);
     ASSERT_EQ(run.exit_code, 0) << run.output;
+    // The overhead fences time dozens of whole sweeps; smoke skips them.
+    EXPECT_EQ(run.output.find("overhead check"), std::string::npos)
+        << run.output;
 
     const carbonx::JsonValue doc = carbonx::JsonValue::parseFile(report);
     EXPECT_DOUBLE_EQ(doc.at("schema_version", "report").asNumber(),
@@ -119,6 +122,7 @@ TEST(BenchCli, SmokeWritesParseableReport)
     const auto &scenarios = doc.at("scenarios", "report").items();
     ASSERT_GE(scenarios.size(), 5u);
     bool saw_sweep = false;
+    bool saw_greedy = false;
     for (const carbonx::JsonValue &s : scenarios) {
         const std::string name = s.at("name", "scenario").asString();
         EXPECT_GT(s.at("work_points", name).asNumber(), 0.0);
@@ -134,8 +138,12 @@ TEST(BenchCli, SmokeWritesParseableReport)
                              1029.0);
             EXPECT_TRUE(s.find("best_total_kg") != nullptr);
         }
+        saw_greedy = saw_greedy || name == "greedy_schedule";
     }
     EXPECT_TRUE(saw_sweep);
+    // The scheduler scenario is checked by the loop above like every
+    // other: work_points, counters and profile children.
+    EXPECT_TRUE(saw_greedy);
 
     // A report always round-trips clean against itself.
     const CliRun self = runCli("bench --compare " + report +

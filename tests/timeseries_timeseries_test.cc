@@ -165,20 +165,6 @@ TEST(TimeSeries, AverageDayProfileOfPureDiurnalSignal)
     }
 }
 
-TEST(TimeSeries, AverageDayExpansionPreservesTotal)
-{
-    TimeSeries ts(2020);
-    for (size_t h = 0; h < ts.size(); ++h)
-        ts[h] = static_cast<double>(h % 100);
-    const TimeSeries avg = ts.averageDayExpansion();
-    EXPECT_NEAR(avg.total(), ts.total(), 1e-6 * ts.total());
-    // Every day of the expansion is identical.
-    for (int hour = 0; hour < 24; ++hour) {
-        EXPECT_DOUBLE_EQ(avg[static_cast<size_t>(hour)],
-                         avg[24 + static_cast<size_t>(hour)]);
-    }
-}
-
 TEST(TimeSeries, WindowExtraction)
 {
     TimeSeries ts(2021);

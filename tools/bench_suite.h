@@ -4,8 +4,10 @@
  * suite and regression gate.
  *
  * Running the suite executes a fixed set of end-to-end scenarios
- * (exhaustive sweep, adaptive sweep cold/warm, recorded simulation,
- * explain) under the phase profiler and writes a provenance-stamped
+ * (exhaustive and batched sweeps, adaptive sweep cold/warm, recorded
+ * simulation, explain, and greedy_schedule: a daily and an 8 h
+ * windowed scheduler year, counted in scheduled hours) under the
+ * phase profiler and writes a provenance-stamped
  * BENCH_<tag>.json report: per scenario the median wall time over
  * --reps repetitions, a deterministic work_points count, the derived
  * points_per_sec throughput, the hot-path counters, and the merged
@@ -18,9 +20,16 @@
  * report files without running anything — the deterministic path the
  * integration tests and CI use.
  *
- * Smoke mode (--smoke) runs the same workloads with reps=1, so a
- * smoke report remains comparable (same work_points) against a full
- * baseline.
+ * A full run then holds two overhead fences on the suite's explorer:
+ * the fastest full-factorial sweep with the phase profiler on stays
+ * within 10% of the fastest with it off, and with a decision journal
+ * attached within 5% (up to 3 attempts of 8 alternating off/on
+ * pairs). Each prints an "overhead check" line to stderr; a breach
+ * exits 4, like the gate.
+ *
+ * Smoke mode (--smoke) runs the same workloads with reps=1 and no
+ * fences, so a smoke report remains comparable (same work_points)
+ * against a full baseline.
  */
 
 #ifndef CARBONX_TOOLS_BENCH_SUITE_H
@@ -44,7 +53,8 @@ namespace carbonx::tools
  *                     nothing
  *   --threshold PCT   tolerated throughput drop percent (default 5)
  *
- * @return 0 on success, 4 when --compare found a regression.
+ * @return 0 on success, 4 when --compare found a regression or an
+ *         overhead fence breached.
  * @throws carbonx::Error on unreadable/malformed reports.
  */
 int cmdBench(const ArgParser &args);

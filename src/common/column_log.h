@@ -104,6 +104,9 @@ class Reader
     /** Byte length of the header plus every block read Ok. */
     uint64_t validBytes() const { return valid_bytes_; }
 
+    /** Byte length of the whole file. */
+    uint64_t fileSize() const { return file_size_; }
+
   private:
     std::ifstream is_;
     uint64_t file_size_ = 0;

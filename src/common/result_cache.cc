@@ -1,11 +1,12 @@
 #include "result_cache.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 #include <filesystem>
 
 #include "common/column_log.h"
 #include "common/error.h"
-#include "common/fnv.h"
 #include "common/counters.h"
 #include "common/logging.h"
 
@@ -19,12 +20,42 @@ constexpr column_log::Magic kFileMagic = {'C', 'X', 'R', 'C',
                                           'A', 'C', 'H', 'E'};
 constexpr uint32_t kBlockMagic = 0x434b4c42u; // "BLKC" little-endian.
 
+/** Index slots of an empty cache. */
+constexpr size_t kMinSlots = 16;
+
+/**
+ * The index's hash of @p key: a multiply-xorshift mix of its four bit
+ * patterns, then SplitMix64's finalizer so that the low bits the
+ * table uses depend on every key bit (design-point coordinates are
+ * round numbers whose low mantissa bits are all zero). It only places
+ * records in memory; the file's digests are FNV-1a (common/fnv.h).
+ */
+uint64_t
+indexHash(const ResultCache::Key &key)
+{
+    uint64_t hash = 0;
+    for (const double v : key) {
+        hash = (hash ^ std::bit_cast<uint64_t>(v)) * 0x9e3779b97f4a7c15ull;
+        hash ^= hash >> 32;
+    }
+    hash ^= hash >> 29;
+    hash *= 0xbf58476d1ce4e5b9ull;
+    return hash ^ (hash >> 32);
+}
+
+bool
+sameBits(const ResultCache::Key &a, const ResultCache::Key &b)
+{
+    return std::memcmp(a.data(), b.data(), sizeof(ResultCache::Key)) == 0;
+}
+
 } // namespace
 
 ResultCache::ResultCache(std::string path, uint64_t config_digest,
                          uint32_t payload_width, std::string provenance)
     : path_(std::move(path)), config_digest_(config_digest),
-      payload_width_(payload_width), provenance_(std::move(provenance))
+      payload_width_(payload_width), provenance_(std::move(provenance)),
+      slots_(kMinSlots, kEmptySlot)
 {
     require(payload_width_ > 0, "result cache payload width must be > 0");
     load();
@@ -41,22 +72,31 @@ ResultCache::~ResultCache()
     }
 }
 
-uint64_t
-ResultCache::keyHash(const Key &key) const
+size_t
+ResultCache::slotOf(const Key &key) const
 {
-    return fnv1a64Bytes(key.data(), sizeof(double) * kKeyWidth);
+    const size_t mask = slots_.size() - 1;
+    for (size_t slot = indexHash(key) & mask;; slot = (slot + 1) & mask) {
+        const uint32_t record = slots_[slot];
+        if (record == kEmptySlot || sameBits(coords_[record], key))
+            return slot;
+    }
 }
 
-const double *
-ResultCache::lookup(const Key &key) const
+void
+ResultCache::indexFrom(size_t first)
 {
-    const auto [begin, end] = index_.equal_range(keyHash(key));
-    for (auto it = begin; it != end; ++it) {
-        if (coords_[it->second] == key)
-            return payloads_.data() +
-                   static_cast<size_t>(it->second) * payload_width_;
+    if (2 * coords_.size() > slots_.size()) {
+        slots_.assign(std::bit_ceil(2 * coords_.size()), kEmptySlot);
+        first = 0;
     }
-    return nullptr;
+    // A key stored twice (only a hand-edited file can hold one) keeps
+    // its first record, as insert() does.
+    for (size_t record = first; record < coords_.size(); ++record) {
+        uint32_t &slot = slots_[slotOf(coords_[record])];
+        if (slot == kEmptySlot)
+            slot = static_cast<uint32_t>(record);
+    }
 }
 
 const double *
@@ -64,22 +104,30 @@ ResultCache::find(const Key &key) const
 {
     static Counter &c_hits = counter("result_cache.hits");
     static Counter &c_misses = counter("result_cache.misses");
-    const double *payload = lookup(key);
-    (payload != nullptr ? c_hits : c_misses).increment();
-    return payload;
+    const uint32_t record = slots_[slotOf(key)];
+    if (record == kEmptySlot) {
+        c_misses.increment();
+        return nullptr;
+    }
+    c_hits.increment();
+    return payloads_.data() + static_cast<size_t>(record) * payload_width_;
 }
 
 bool
 ResultCache::insert(const Key &key, const double *payload)
 {
-    if (lookup(key) != nullptr)
+    const size_t slot = slotOf(key);
+    if (slots_[slot] != kEmptySlot)
         return false;
     static Counter &c_inserts = counter("result_cache.inserts");
     c_inserts.increment();
     const auto record = static_cast<uint32_t>(coords_.size());
     coords_.push_back(key);
     payloads_.insert(payloads_.end(), payload, payload + payload_width_);
-    index_.emplace(keyHash(key), record);
+    if (2 * coords_.size() > slots_.size())
+        indexFrom(record); // Grows the table and re-indexes every record.
+    else
+        slots_[slot] = record;
     return true;
 }
 
@@ -112,26 +160,41 @@ ResultCache::load()
     provenance_ = std::move(header.provenance);
     rewrite_needed_ = false;
 
+    // The blocks cannot hold more records than the bytes after the
+    // header have room for, so one reservation covers every block.
+    const size_t columns = kKeyWidth + payload_width_;
+    const size_t max_records =
+        (reader.fileSize() - reader.validBytes()) /
+        (columns * sizeof(uint64_t));
+    coords_.reserve(max_records);
+    payloads_.reserve(max_records * payload_width_);
+    slots_.assign(std::bit_ceil(std::max(kMinSlots, 2 * max_records)),
+                  kEmptySlot);
+
     // Columnar within a block: key columns first, then payload
     // columns, each `rows` cells long.
-    const size_t columns = kKeyWidth + payload_width_;
     std::vector<uint64_t> cells;
     column_log::Status block;
     while ((block = reader.nextBlock(kBlockMagic,
                                      static_cast<uint32_t>(columns),
                                      cells)) == column_log::Status::Ok) {
         const size_t rows = cells.size() / columns;
-        for (size_t r = 0; r < rows; ++r) {
-            Key key;
-            for (size_t c = 0; c < kKeyWidth; ++c)
-                key[c] = std::bit_cast<double>(cells[c * rows + r]);
-            index_.emplace(keyHash(key),
-                           static_cast<uint32_t>(coords_.size()));
-            coords_.push_back(key);
-            for (size_t c = kKeyWidth; c < columns; ++c)
-                payloads_.push_back(
-                    std::bit_cast<double>(cells[c * rows + r]));
+        const size_t first = coords_.size();
+        coords_.resize(first + rows);
+        payloads_.resize((first + rows) * payload_width_);
+        for (size_t c = 0; c < kKeyWidth; ++c) {
+            for (size_t r = 0; r < rows; ++r)
+                coords_[first + r][c] =
+                    std::bit_cast<double>(cells[c * rows + r]);
         }
+        double *payloads = payloads_.data() + first * payload_width_;
+        for (size_t p = 0; p < payload_width_; ++p) {
+            const uint64_t *column = cells.data() + (kKeyWidth + p) * rows;
+            for (size_t r = 0; r < rows; ++r)
+                payloads[r * payload_width_ + p] =
+                    std::bit_cast<double>(column[r]);
+        }
+        indexFrom(first);
     }
     good_prefix_bytes_ = reader.validBytes();
     loaded_from_disk_ = coords_.size();

@@ -28,6 +28,13 @@
  * are reported via rebuildReason(), and never crash or silently
  * serve stale data.
  *
+ * In memory, records live in two flat arrays (keys, payloads) that an
+ * open-addressing table of record ids indexes. The table's hash is a
+ * cheap mix of the four key words and is never written to disk; keys
+ * compare bit for bit, so +0.0 and -0.0 are distinct keys. A load
+ * sizes all three from the file length, so opening a cache makes no
+ * allocation per record.
+ *
  * Not thread-safe: the sweep drivers call it only from the
  * coordinating thread, between parallel evaluation waves.
  */
@@ -39,7 +46,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace carbonx
@@ -79,7 +85,8 @@ class ResultCache
 
     /**
      * The stored payload for @p key (payload_width doubles), or
-     * nullptr on a miss. The pointer is invalidated by insert().
+     * nullptr on a miss; keys match bit for bit. The pointer is
+     * invalidated by insert().
      */
     const double *find(const Key &key) const;
 
@@ -113,9 +120,20 @@ class ResultCache
 
   private:
     void load();
-    uint64_t keyHash(const Key &key) const;
-    /** find() without the hit/miss telemetry (used by insert()). */
-    const double *lookup(const Key &key) const;
+    /**
+     * The slot holding @p key's record id, or the empty slot where it
+     * would go.
+     */
+    size_t slotOf(const Key &key) const;
+    /**
+     * Index records [@p first, size()); when that would fill the
+     * table past half, double it until it is at most half full and
+     * re-index every record instead.
+     */
+    void indexFrom(size_t first);
+
+    /** An empty table slot. */
+    static constexpr uint32_t kEmptySlot = UINT32_MAX;
 
     std::string path_;
     uint64_t config_digest_ = 0;
@@ -124,7 +142,11 @@ class ResultCache
 
     std::vector<Key> coords_;
     std::vector<double> payloads_; ///< size() * payload_width_ flat.
-    std::unordered_multimap<uint64_t, uint32_t> index_;
+    /**
+     * Open-addressing table (linear probing, power-of-two size, at
+     * most half full) of record ids into coords_ and payloads_.
+     */
+    std::vector<uint32_t> slots_;
 
     size_t loaded_from_disk_ = 0;
     size_t flushed_records_ = 0;

@@ -130,6 +130,26 @@ coarseIndices(size_t n, size_t stride)
     return out;
 }
 
+/**
+ * std::partition_point over [first, first + n), where @p pred holds on
+ * a prefix, with a conditional move instead of a branch per halving:
+ * the staircase queries run once per triaged point, and their
+ * outcomes are too irregular to predict.
+ */
+template <typename T, typename Pred>
+const T *
+partitionPoint(const T *first, size_t n, Pred pred)
+{
+    if (n == 0)
+        return first;
+    while (n > 1) {
+        const size_t half = n / 2;
+        first = pred(first[half]) ? first + half : first;
+        n -= half;
+    }
+    return pred(*first) ? first + 1 : first;
+}
+
 /** Corner statistics of one cell, on the three bounded objectives. */
 struct CellBounds
 {
@@ -264,15 +284,24 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
     // embodied < e is reached at a staircase entry (a pruned pair has
     // an earlier kept pair whose operational is no larger), so "does
     // any evaluated point strictly dominate (e, o)?" is one binary
-    // search, and each evaluation call merges only its own pairs.
-    std::vector<std::pair<double, double>> stairs;
+    // search, and each evaluation call merges only its own pairs. A
+    // fresh pair that some staircase pair weakly dominates (embodied
+    // and operational both no lower) would be pruned by the merge, so
+    // it is dropped before the sort.
+    using Stair = std::pair<double, double>;
+    std::vector<Stair> stairs;
     const auto strictlyDominated = [&](double e, double o) {
-        const auto it = std::lower_bound(
-            stairs.begin(), stairs.end(), e,
-            [](const std::pair<double, double> &p, double v) {
-                return p.first < v;
-            });
-        return it != stairs.begin() && std::prev(it)->second < o;
+        const Stair *first = stairs.data();
+        const Stair *it = partitionPoint(
+            first, stairs.size(),
+            [e](const Stair &p) { return p.first < e; });
+        return it != first && it[-1].second < o;
+    };
+    const auto weaklyDominated = [&](size_t end, double e, double o) {
+        const Stair *first = stairs.data();
+        const Stair *it = partitionPoint(
+            first, end, [e](const Stair &p) { return p.first <= e; });
+        return it != first && it[-1].second <= o;
     };
     double best_total = std::numeric_limits<double>::infinity();
 
@@ -297,18 +326,21 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
                 evaluator.setPointAnnotations(ann);
             evaluator.evaluate(wave_points.data(), wave_points.size(),
                                wave_out.data(), status);
-            const auto old_end = static_cast<ptrdiff_t>(stairs.size());
+            const size_t old_size = stairs.size();
             for (size_t k = 0; k < ids.size(); ++k) {
                 const Evaluation &ev = evals[ids[k]] =
                     std::move(wave_out[k]);
                 evaluated[ids[k]] = 1;
                 best_total = std::min(best_total, ev.totalKg().value());
-                stairs.emplace_back(ev.embodiedKg().value(),
-                                    ev.operational_kg.value());
+                const double e = ev.embodiedKg().value();
+                const double o = ev.operational_kg.value();
+                if (!weaklyDominated(old_size, e, o))
+                    stairs.emplace_back(e, o);
             }
-            std::sort(stairs.begin() + old_end, stairs.end());
-            std::inplace_merge(stairs.begin(), stairs.begin() + old_end,
-                               stairs.end());
+            const auto old_end = stairs.begin() +
+                static_cast<ptrdiff_t>(old_size);
+            std::sort(old_end, stairs.end());
+            std::inplace_merge(stairs.begin(), old_end, stairs.end());
             size_t keep = 0;
             for (const auto &p : stairs) {
                 if (keep == 0 || p.second < stairs[keep - 1].second)
@@ -490,60 +522,130 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
                    p.o_hat - inflation * p.m_o;
     };
 
-    const auto forEachCellIndex = [&](const Cell &cell,
-                                      const auto &fn) {
-        LatticeIdx idx;
-        for (idx[0] = cell.lo[0]; idx[0] <= cell.hi[0]; ++idx[0])
-            for (idx[1] = cell.lo[1]; idx[1] <= cell.hi[1]; ++idx[1])
-                for (idx[2] = cell.lo[2]; idx[2] <= cell.hi[2];
-                     ++idx[2])
-                    for (idx[3] = cell.lo[3]; idx[3] <= cell.hi[3];
-                         ++idx[3])
-                        fn(idx, linearIndex(idx));
-    };
-
-    // Interpolate (embodied, operational) for @p idx inside @p cell
-    // from the cell's 16 evaluated corners; weights are the usual
-    // multilinear products of the fractional index offsets.
-    const auto interpolate = [&](const Cell &cell,
-                                 const LatticeIdx &idx,
-                                 PointPrediction *p) {
-        double frac[4];
-        for (size_t a = 0; a < 4; ++a) {
-            const size_t w = cell.hi[a] - cell.lo[a];
-            frac[a] = w > 0 ? static_cast<double>(idx[a] -
-                                                  cell.lo[a]) /
-                    static_cast<double>(w)
-                            : 0.0;
-        }
-        double e_hat = 0.0;
-        double o_hat = 0.0;
+    AdaptiveSweepStats stats;
+    // Triage of one cell's undecided points, in lattice order. Each
+    // point's (embodied, operational) estimate is the multilinear
+    // interpolation of the cell's 16 corner evaluations, read once
+    // per cell: corner c takes axis a's hi index when bit a of c is
+    // set, and its weight is the product over axes, in axis order, of
+    // the point's fractional offset (hi) or its complement (lo). The
+    // partial products over the outer axes are shared by every point
+    // that has them in common; each is the same multiplication in the
+    // same order as a per-point product, so estimates are exact
+    // reproductions. Margins depend only on the cell.
+    const auto triageCell = [&](const Cell &cell, uint64_t triage_ts,
+                                std::vector<size_t> &needed) {
+        std::array<double, 16> corner_e;
+        std::array<double, 16> corner_o;
         for (unsigned corner = 0; corner < 16; ++corner) {
-            double weight = 1.0;
             LatticeIdx cidx;
-            for (size_t a = 0; a < 4; ++a) {
-                const bool hi = (corner & (1u << a)) != 0;
-                cidx[a] = hi ? cell.hi[a] : cell.lo[a];
-                weight *= hi ? frac[a] : 1.0 - frac[a];
-            }
-            if (weight == 0.0)
-                continue;
+            for (size_t a = 0; a < 4; ++a)
+                cidx[a] = (corner & (1u << a)) != 0 ? cell.hi[a]
+                                                     : cell.lo[a];
             const Evaluation &ev = evals[linearIndex(cidx)];
-            e_hat += weight * ev.embodiedKg().value();
-            o_hat += weight * ev.operational_kg.value();
+            corner_e[corner] = ev.embodiedKg().value();
+            corner_o[corner] = ev.operational_kg.value();
         }
         const CellBounds &b = cell.bounds;
-        p->e_hat = e_hat;
-        p->o_hat = o_hat;
-        p->m_t = kMarginScale * b.spread_total +
+        const double m_t = kMarginScale * b.spread_total +
             kMarginFloorRel * global_spread_total;
-        p->m_e = kMarginScale * b.spread_embodied +
+        const double m_e = kMarginScale * b.spread_embodied +
             kMarginFloorRel * global_spread_embodied;
-        p->m_o = kMarginScale * b.spread_operational +
+        const double m_o = kMarginScale * b.spread_operational +
             kMarginFloorRel * global_spread_operational;
+        // {lo, hi} weight factors of axis a at index i.
+        const auto factors = [&cell](size_t a, size_t i) {
+            const size_t w = cell.hi[a] - cell.lo[a];
+            const double frac = w > 0
+                ? static_cast<double>(i - cell.lo[a]) /
+                    static_cast<double>(w)
+                : 0.0;
+            return std::array<double, 2>{1.0 - frac, frac};
+        };
+
+        // Axis a's bit goes into `hi_only` when only its hi factor is
+        // nonzero, into `both` when both are. The corners of nonzero
+        // weight are then hi_only | s for every subset s of `both`,
+        // visited in ascending corner order; a weight that is a
+        // product of nonzero factors k/w or 1 - k/w is itself nonzero.
+        const auto axisBits = [](const std::array<double, 2> &f,
+                                 unsigned bit, unsigned &hi_only,
+                                 unsigned &both) {
+            if (f[1] == 0.0)
+                return;
+            if (f[0] == 0.0)
+                hi_only |= bit;
+            else
+                both |= bit;
+        };
+
+        bool any_needed = false;
+        bool any_skipped = false;
+        std::array<double, 4> w01;
+        std::array<double, 8> w012;
+        LatticeIdx idx;
+        for (idx[0] = cell.lo[0]; idx[0] <= cell.hi[0]; ++idx[0]) {
+            const auto f0 = factors(0, idx[0]);
+            unsigned hi0 = 0;
+            unsigned both0 = 0;
+            axisBits(f0, 1u, hi0, both0);
+            for (idx[1] = cell.lo[1]; idx[1] <= cell.hi[1]; ++idx[1]) {
+                const auto f1 = factors(1, idx[1]);
+                unsigned hi1 = hi0;
+                unsigned both1 = both0;
+                axisBits(f1, 2u, hi1, both1);
+                for (unsigned c = 0; c < 4; ++c)
+                    w01[c] = f0[c & 1] * f1[c >> 1];
+                for (idx[2] = cell.lo[2]; idx[2] <= cell.hi[2];
+                     ++idx[2]) {
+                    const auto f2 = factors(2, idx[2]);
+                    unsigned hi2 = hi1;
+                    unsigned both2 = both1;
+                    axisBits(f2, 4u, hi2, both2);
+                    for (unsigned c = 0; c < 8; ++c)
+                        w012[c] = w01[c & 3] * f2[c >> 2];
+                    for (idx[3] = cell.lo[3]; idx[3] <= cell.hi[3];
+                         ++idx[3]) {
+                        const size_t li = linearIndex(idx);
+                        if (evaluated[li] != 0 || decided[li] != 0)
+                            continue; // first decision wins (shared faces)
+                        const auto f3 = factors(3, idx[3]);
+                        unsigned hi_only = hi2;
+                        unsigned both = both2;
+                        axisBits(f3, 8u, hi_only, both);
+                        double e_hat = 0.0;
+                        double o_hat = 0.0;
+                        for (unsigned sub = 0;; sub = (sub - both) & both) {
+                            const unsigned c = hi_only | sub;
+                            const double weight = w012[c & 7] * f3[c >> 3];
+                            e_hat += weight * corner_e[c];
+                            o_hat += weight * corner_o[c];
+                            if (sub == both)
+                                break;
+                        }
+                        PointPrediction &p = preds[li];
+                        p = {e_hat, o_hat, m_t, m_e, m_o};
+                        if (skippable(p)) {
+                            decided[li] = 2;
+                            skipped_ids.push_back(li);
+                            if (journal != nullptr)
+                                journalSkip(idx, li, triage_ts);
+                            any_skipped = true;
+                        } else {
+                            decided[li] = 1;
+                            needed.push_back(li);
+                            any_needed = true;
+                        }
+                    }
+                }
+            }
+        }
+        if (any_needed)
+            ++stats.cells_refined;
+        else if (any_skipped)
+            ++stats.cells_excluded;
     };
 
-    AdaptiveSweepStats stats;
     std::vector<size_t> wave_ids;
     std::vector<size_t> revived;
     const auto cellLowerBound = [&](const Cell &cell) {
@@ -552,25 +654,29 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
                 (kMarginScale * cell.bounds.spread_total +
                  kMarginFloorRel * global_spread_total);
     };
-    while (!pending.empty()) {
-        // Most promising cells first: lowest margin-padded corner
-        // minimum, lo-corner lattice order as the deterministic
-        // tie-break. Evaluating low cells early drives best_total
-        // down, which lets later cells skip more of their interior.
-        std::sort(pending.begin(), pending.end(),
-                  [&](const Cell &a, const Cell &b) {
-                      const double lba = cellLowerBound(a);
-                      const double lbb = cellLowerBound(b);
-                      if (lba != lbb)
-                          return lba < lbb;
-                      return a.order_key < b.order_key;
-                  });
-        const size_t take = std::min(kCellsPerWave, pending.size());
-        std::vector<Cell> wave(pending.begin(),
-                               pending.begin() +
-                                   static_cast<ptrdiff_t>(take));
-        pending.erase(pending.begin(),
-                      pending.begin() + static_cast<ptrdiff_t>(take));
+    const auto byLowerBound = [&](const Cell &a, const Cell &b) {
+        const double lba = cellLowerBound(a);
+        const double lbb = cellLowerBound(b);
+        if (lba != lbb)
+            return lba < lbb;
+        return a.order_key < b.order_key;
+    };
+    // Most promising cells first: lowest margin-padded corner minimum,
+    // lo-corner lattice order as the deterministic tie-break.
+    // Evaluating low cells early drives best_total down, which lets
+    // later cells skip more of their interior. The order is a strict
+    // total order that only `inflation` moves, so the cells still
+    // pending are re-sorted only after it changes.
+    size_t next_cell = 0;
+    bool sorted = false;
+    while (next_cell < pending.size()) {
+        if (!sorted) {
+            std::sort(pending.begin() + static_cast<ptrdiff_t>(next_cell),
+                      pending.end(), byLowerBound);
+            sorted = true;
+        }
+        const size_t wave_begin = next_cell;
+        next_cell = std::min(next_cell + kCellsPerWave, pending.size());
 
         wave_ids.clear();
         // One timestamp per triage wave: skip rows are bookkeeping,
@@ -578,31 +684,8 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
         // loop cheap.
         const uint64_t triage_ts =
             journal != nullptr ? journal->nowUs() : 0;
-        for (const Cell &cell : wave) {
-            bool any_needed = false;
-            bool any_skipped = false;
-            forEachCellIndex(cell, [&](const LatticeIdx &idx,
-                                       size_t li) {
-                if (evaluated[li] != 0 || decided[li] != 0)
-                    return; // first decision wins (shared faces)
-                interpolate(cell, idx, &preds[li]);
-                if (skippable(preds[li])) {
-                    decided[li] = 2;
-                    skipped_ids.push_back(li);
-                    if (journal != nullptr)
-                        journalSkip(idx, li, triage_ts);
-                    any_skipped = true;
-                } else {
-                    decided[li] = 1;
-                    wave_ids.push_back(li);
-                    any_needed = true;
-                }
-            });
-            if (any_needed)
-                ++stats.cells_refined;
-            else if (any_skipped)
-                ++stats.cells_excluded;
-        }
+        for (size_t c = wave_begin; c < next_cell; ++c)
+            triageCell(pending[c], triage_ts, wave_ids);
         std::sort(wave_ids.begin(), wave_ids.end());
 
         if (status != nullptr)
@@ -630,6 +713,7 @@ AdaptiveSweeper::sweepPass(const DesignSpace &space, Strategy strategy,
             if (!violated)
                 break;
             inflation *= 2.0;
+            sorted = false;
             ++stats.margin_inflations;
             c_inflated.increment();
             revived.clear();

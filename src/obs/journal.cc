@@ -75,8 +75,9 @@ isRevival(const DecisionRow &row)
 uint64_t
 decisionPointId(const std::array<double, 4> &coords)
 {
-    // Byte-identical to ResultCache::keyHash over the same point, so
-    // a journal row's point_id indexes straight into the cache.
+    // FNV-1a over the 32 bytes of the point's ResultCache::Key, so a
+    // journal row's point_id names the cache record with the same
+    // coordinate bits.
     return fnv1a64Bytes(coords.data(), sizeof(double) * coords.size());
 }
 

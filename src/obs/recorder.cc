@@ -1,5 +1,7 @@
 #include "recorder.h"
 
+#include <cstring>
+
 #include "common/error.h"
 
 namespace carbonx::obs
@@ -137,11 +139,17 @@ bitIdentical(const FlightRecorder &a, const FlightRecorder &b)
     if (a.year() != b.year() || a.hasCarbon() != b.hasCarbon() ||
         a.hours() != b.hours())
         return false;
+    // Bit patterns, not operator==: +0.0 and -0.0 differ, and a NaN
+    // cell matches its own copy.
     const auto cols_a = a.columns();
     const auto cols_b = b.columns();
-    for (size_t c = 0; c < cols_a.size(); ++c)
-        if (*cols_a[c] != *cols_b[c])
+    for (size_t c = 0; c < cols_a.size(); ++c) {
+        const std::vector<double> &x = *cols_a[c];
+        const std::vector<double> &y = *cols_b[c];
+        if (x.size() != y.size() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) != 0)
             return false;
+    }
     return true;
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "carbon/operational.h"
@@ -170,6 +171,30 @@ TEST(FlightRecorder, BitIdenticalComparesEveryColumn)
     shorter.begin(2020, 2, true);
     shorter.record(0, sampleRow(1.0));
     EXPECT_FALSE(bitIdentical(a, shorter));
+}
+
+TEST(FlightRecorder, BitIdenticalComparesBitPatterns)
+{
+    obs::FlightRecorder a;
+    obs::FlightRecorder b;
+    for (obs::FlightRecorder *rec : {&a, &b}) {
+        rec->begin(2020, 2, true);
+        rec->record(0, sampleRow(1.0));
+        rec->record(1, sampleRow(2.0));
+    }
+
+    // The same NaN in both recordings is the same recording.
+    a.grid_mw[0] = std::numeric_limits<double>::quiet_NaN();
+    b.grid_mw[0] = a.grid_mw[0];
+    EXPECT_TRUE(bitIdentical(a, b));
+
+    // +0.0 == -0.0 as numbers, but not as bits.
+    a.carbon_kg[1] = 0.0;
+    b.carbon_kg[1] = -0.0;
+    EXPECT_FALSE(bitIdentical(a, b));
+    EXPECT_FALSE(bitIdentical(b, a));
+    b.carbon_kg[1] = 0.0;
+    EXPECT_TRUE(bitIdentical(a, b));
 }
 
 TEST(FlightRecorder, ExplainRecordsEveryHourOfTheYear)

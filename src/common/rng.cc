@@ -122,6 +122,24 @@ Rng::normal(double mean, double stddev)
     return mean + stddev * normal();
 }
 
+void
+Rng::skipNormals(uint64_t k)
+{
+    if (k > 0 && has_cached_normal_) {
+        has_cached_normal_ = false;
+        --k;
+    }
+    // Each whole Box-Muller pair consumes u1 (redrawn like normal()
+    // does) and u2; both of its normals are skipped.
+    for (; k >= 2; k -= 2) {
+        while (uniform() <= 1e-300) {
+        }
+        nextU64();
+    }
+    if (k == 1)
+        normal();
+}
+
 bool
 Rng::bernoulli(double p)
 {

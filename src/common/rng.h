@@ -76,6 +76,17 @@ class Rng
     /** Normal sample with the given mean and standard deviation. */
     double normal(double mean, double stddev);
 
+    /**
+     * Advance the stream exactly as @p k normal() calls would, so the
+     * next normal() returns what the (k+1)-th would have. Draws the
+     * same uniforms (the u1 redraw included) and honours the cached
+     * second normal, but skips the Box-Muller math for every pair
+     * that is consumed whole; only an odd tail computes one pair to
+     * cache its sine. Lets a parallel pass position a copy of the
+     * stream at any block start without replaying the normals.
+     */
+    void skipNormals(uint64_t k);
+
     /** Bernoulli trial with success probability @p p. */
     bool bernoulli(double p);
 

@@ -490,18 +490,9 @@ struct SweepBatchEvaluator::Workspaces
 
 SweepBatchEvaluator::SweepBatchEvaluator(const CarbonExplorer &explorer,
                                          Strategy strategy)
-    : explorer_(explorer), strategy_(strategy)
+    : explorer_(explorer), strategy_(strategy),
+      worker_ids_(std::max<size_t>(threadCount(), 1))
 {
-    // One workspace per possible worker id (the caller is id 0, pool
-    // workers are 1..N-1), so no two workers ever share scratch. The
-    // engine itself is shared: run() is const and only touches the
-    // worker's own batch. The intensity series is always attached so
-    // the kernel accumulates per-lane operational carbon inline.
-    const size_t worker_ids = std::max<size_t>(threadCount(), 1);
-    workspaces_ = std::make_unique<Workspaces>(
-        explorer_.coverage_.dcPower(), explorer_.coverage_.solarShape(),
-        explorer_.coverage_.windShape(), &explorer_.grid_trace_.intensity,
-        worker_ids);
 }
 
 SweepBatchEvaluator::~SweepBatchEvaluator() = default;
@@ -518,7 +509,7 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
     SweepResultCache *cache = explorer_.sweep_cache_;
     obs::DecisionJournal *journal = explorer_.journal_;
     if (journal != nullptr)
-        journal->ensureSinks(workspaces_->per_worker.size());
+        journal->ensureSinks(worker_ids_);
 
     // Serial cache pass on the coordinating thread; the cache needs
     // no locking because workers never touch it. Cache replays are
@@ -579,9 +570,20 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
     static auto &g_threads = obs::gauge("sweep.threads");
 
     const CarbonExplorer &ex = explorer_;
-    std::vector<SweepWorkspace> &workspaces = workspaces_->per_worker;
-    const BatchedSimulationEngine &engine = workspaces_->engine;
     const size_t n = misses.size();
+    // One workspace per possible worker id (the caller is id 0, pool
+    // workers are 1..N-1), so no two workers ever share scratch. The
+    // engine itself is shared: run() is const and only touches the
+    // worker's own batch. The intensity series is always attached so
+    // the kernel accumulates per-lane operational carbon inline. All
+    // of it is built on the first miss, so an all-hit replay never
+    // pays for it.
+    if (n > 0 && workspaces_ == nullptr) {
+        workspaces_ = std::make_unique<Workspaces>(
+            ex.coverage_.dcPower(), ex.coverage_.solarShape(),
+            ex.coverage_.windShape(), &ex.grid_trace_.intensity,
+            worker_ids_);
+    }
     const size_t workers = std::max<size_t>(threadCount(), 1);
     const size_t full_waves =
         (n + kSweepBatchLanes - 1) / kSweepBatchLanes;
@@ -600,7 +602,7 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
         : 0;
     parallelFor(0, waves, 1, [&](size_t wave, size_t worker) {
         CARBONX_PROFILE("sweep/run_group");
-        SweepWorkspace &ws = workspaces[worker];
+        SweepWorkspace &ws = workspaces_->per_worker[worker];
         const size_t i0 = wave * n / waves;
         const size_t i1 = (wave + 1) * n / waves;
         const auto run_start = std::chrono::steady_clock::now();
@@ -611,7 +613,7 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
                 ws.batch.addLane(
                     ex.laneConfig(points[misses[i]], strategy_));
         }
-        engine.run(ws.batch);
+        workspaces_->engine.run(ws.batch);
         // One timestamp per wave keeps journaling off the per-point
         // path; rows go into this worker's private sink, so no other
         // worker ever touches the same buffer.

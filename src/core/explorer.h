@@ -559,6 +559,9 @@ class SweepBatchEvaluator
 
     const CarbonExplorer &explorer_;
     Strategy strategy_;
+    /** Worker ids the pool may hand out (threadCount() at construction). */
+    size_t worker_ids_;
+    /** Engine and per-worker batches; built on the first cache miss. */
     std::unique_ptr<Workspaces> workspaces_;
     size_t simulated_points_ = 0;
     size_t cache_hits_ = 0;

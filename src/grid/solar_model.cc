@@ -17,7 +17,9 @@ constexpr double kDegToRad = std::numbers::pi / 180.0;
 } // namespace
 
 SolarResourceModel::SolarResourceModel(const SolarModelParams &params)
-    : params_(params)
+    : params_(params),
+      sin_lat_(std::sin(params.latitude_deg * kDegToRad)),
+      cos_lat_(std::cos(params.latitude_deg * kDegToRad))
 {
     require(params.latitude_deg > -66.0 && params.latitude_deg < 66.0,
             "solar model latitude must be between polar circles");
@@ -28,24 +30,27 @@ SolarResourceModel::SolarResourceModel(const SolarModelParams &params)
             "clearness autocorrelation must be in [0, 1)");
 }
 
-double
-SolarResourceModel::clearSkyOutput(size_t day_of_year, int hour_of_day,
-                                   size_t days_in_year) const
+SolarResourceModel::SunDay
+SolarResourceModel::sunDay(size_t day_of_year, size_t days_in_year) const
 {
     // Solar declination (Cooper's equation).
     const double n = static_cast<double>(day_of_year) + 1.0;
     const double decl = 23.45 * kDegToRad *
         std::sin(2.0 * std::numbers::pi * (284.0 + n) /
                  static_cast<double>(days_in_year));
+    return SunDay{sin_lat_ * std::sin(decl), cos_lat_ * std::cos(decl)};
+}
 
+double
+SolarResourceModel::clearSkyOutput(const SunDay &day, int hour_of_day)
+{
     // Hour angle: 0 at solar noon, 15 degrees per hour. Sample the
     // middle of the hour so hour 12 straddles noon.
     const double solar_hour = static_cast<double>(hour_of_day) + 0.5;
     const double hour_angle = (solar_hour - 12.0) * 15.0 * kDegToRad;
 
-    const double lat = params_.latitude_deg * kDegToRad;
-    const double sin_elev = std::sin(lat) * std::sin(decl) +
-        std::cos(lat) * std::cos(decl) * std::cos(hour_angle);
+    const double sin_elev =
+        day.sin_term + day.cos_term * std::cos(hour_angle);
     if (sin_elev <= 0.0)
         return 0.0;
 
@@ -55,6 +60,13 @@ SolarResourceModel::clearSkyOutput(size_t day_of_year, int hour_of_day,
     const double transmitted = std::pow(0.75, std::pow(air_mass, 0.678));
     // Normalize so overhead sun at air mass 1 maps to 1.0 per-unit.
     return std::min(1.0, sin_elev * transmitted / 0.75);
+}
+
+double
+SolarResourceModel::clearSkyOutput(size_t day_of_year, int hour_of_day,
+                                   size_t days_in_year) const
+{
+    return clearSkyOutput(sunDay(day_of_year, days_in_year), hour_of_day);
 }
 
 TimeSeries
@@ -84,8 +96,9 @@ SolarResourceModel::generate(int year, uint64_t seed) const
             params_.mean_clearness + seasonal + dev,
             params_.min_clearness, 1.0);
 
+        const SunDay sun = sunDay(day, days);
         for (int hour = 0; hour < 24; ++hour) {
-            const double clear_sky = clearSkyOutput(day, hour, days);
+            const double clear_sky = clearSkyOutput(sun, hour);
             if (clear_sky <= 0.0)
                 continue;
             const double jitter =

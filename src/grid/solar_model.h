@@ -94,7 +94,24 @@ class SolarResourceModel
     const SolarModelParams &params() const { return params_; }
 
   private:
+    /**
+     * Day-level factors of the solar elevation, sin(elev) =
+     * sin_term + cos_term * cos(hour angle): sin(lat) sin(decl) and
+     * cos(lat) cos(decl) for one day's declination.
+     */
+    struct SunDay
+    {
+        double sin_term;
+        double cos_term;
+    };
+
+    SunDay sunDay(size_t day_of_year, size_t days_in_year) const;
+
+    static double clearSkyOutput(const SunDay &day, int hour_of_day);
+
     SolarModelParams params_;
+    double sin_lat_;
+    double cos_lat_;
 };
 
 } // namespace carbonx

@@ -6,9 +6,22 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/parallel.h"
 
 namespace carbonx
 {
+
+namespace
+{
+
+/**
+ * Hour blocks of the parallel shaping pass, about a month each: a
+ * year splits evenly over 2, 3, 4 or 6 workers, and positioning each
+ * block's stream copy costs one skipNormals call.
+ */
+constexpr size_t kShapeBlocks = 12;
+
+} // namespace
 
 WindResourceModel::WindResourceModel(const WindModelParams &params)
     : params_(params)
@@ -78,30 +91,59 @@ WindResourceModel::generate(int year, uint64_t seed) const
     for (auto &off : farm_offset)
         off = spatial.normal(0.0, 0.5);
 
+    // Serial draw. The AR(1) latent weather is parked in `out` (the
+    // shaping pass overwrites each hour with its power), and a copy
+    // of the spatial stream is taken at every block start, then moved
+    // past the block's farms x hours perturbations without the
+    // Box-Muller math.
+    const auto blockBegin = [&](size_t b) {
+        return b * hours / kShapeBlocks;
+    };
     double z = 0.0;
     for (size_t h = 0; h < hours; ++h) {
         z = rho * z + weather.normal(0.0, innovation_sd);
-
-        const double day = static_cast<double>(h) / kHoursPerDayF;
-        const double seasonal = 1.0 + params_.seasonal_amp *
-            std::cos(2.0 * std::numbers::pi *
-                     (day - params_.seasonal_peak_day) / days);
-        const double hour_of_day = static_cast<double>(h % kHoursPerDay);
-        const double diurnal = 1.0 + params_.diurnal_amp *
-            std::cos(2.0 * std::numbers::pi * (hour_of_day - 2.0) /
-                     kHoursPerDayF);
-        const double scale = base_scale * seasonal * diurnal;
-
-        double power = 0.0;
-        for (int f = 0; f < farms; ++f) {
-            const double zf =
-                z + farm_offset[static_cast<size_t>(f)] +
-                spatial.normal(0.0, 0.18);
-            power += powerCurve(latentToSpeed(zf, scale));
-        }
-        out[h] = std::max(power / static_cast<double>(farms),
-                          params_.aggregate_floor);
+        out[h] = z;
     }
+    std::vector<Rng> block_spatial;
+    block_spatial.reserve(kShapeBlocks);
+    for (size_t b = 0; b < kShapeBlocks; ++b) {
+        block_spatial.push_back(spatial);
+        spatial.skipNormals(static_cast<uint64_t>(farms) *
+                            (blockBegin(b + 1) - blockBegin(b)));
+    }
+
+    // Parallel shaping: each block runs the per-hour body on its own
+    // stream copy, with the same expressions in the same order as a
+    // serial pass, so the trace is bit-identical at any thread count.
+    // The copy lives on the worker's stack: neighbouring Rngs in
+    // block_spatial share a cache line, and advancing them in place
+    // from two workers cost the whole 2-thread gain.
+    parallelFor(0, kShapeBlocks, 1, [&](size_t b) {
+        Rng block_rng = block_spatial[b];
+        for (size_t h = blockBegin(b); h < blockBegin(b + 1); ++h) {
+            const double z_h = out[h];
+            const double day = static_cast<double>(h) / kHoursPerDayF;
+            const double seasonal = 1.0 + params_.seasonal_amp *
+                std::cos(2.0 * std::numbers::pi *
+                         (day - params_.seasonal_peak_day) / days);
+            const double hour_of_day =
+                static_cast<double>(h % kHoursPerDay);
+            const double diurnal = 1.0 + params_.diurnal_amp *
+                std::cos(2.0 * std::numbers::pi * (hour_of_day - 2.0) /
+                         kHoursPerDayF);
+            const double scale = base_scale * seasonal * diurnal;
+
+            double power = 0.0;
+            for (int f = 0; f < farms; ++f) {
+                const double zf =
+                    z_h + farm_offset[static_cast<size_t>(f)] +
+                    block_rng.normal(0.0, 0.18);
+                power += powerCurve(latentToSpeed(zf, scale));
+            }
+            out[h] = std::max(power / static_cast<double>(farms),
+                              params_.aggregate_floor);
+        }
+    });
     return out;
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -172,6 +173,65 @@ TEST(Rng, ExponentialMeanIsInverseRate)
     for (int i = 0; i < n; ++i)
         sum += rng.exponential(0.5);
     EXPECT_NEAR(sum / n, 2.0, 0.05);
+}
+
+/**
+ * skipNormals(k) then normal() must equal k + 1 normal() calls, bit
+ * for bit, and leave the stream where those calls leave it.
+ * @p primed draws one normal() first so a cached second normal is
+ * pending when the skip starts.
+ */
+void
+expectSkipMatchesDraws(uint64_t k, bool primed)
+{
+    Rng drawn(2020, "skip");
+    Rng skipped(2020, "skip");
+    if (primed) {
+        EXPECT_EQ(drawn.normal(), skipped.normal());
+    }
+    for (uint64_t i = 0; i < k; ++i)
+        drawn.normal();
+    skipped.skipNormals(k);
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(skipped.normal()),
+                  std::bit_cast<uint64_t>(drawn.normal()))
+            << "k = " << k << ", normal " << i;
+    }
+    EXPECT_EQ(skipped.nextU64(), drawn.nextU64()) << "k = " << k;
+}
+
+TEST(Rng, SkipNormalsEvenCountMatchesDraws)
+{
+    for (const uint64_t k : {0u, 2u, 8u, 5840u})
+        expectSkipMatchesDraws(k, false);
+}
+
+TEST(Rng, SkipNormalsOddCountMatchesDraws)
+{
+    for (const uint64_t k : {1u, 3u, 9u, 5841u})
+        expectSkipMatchesDraws(k, false);
+}
+
+TEST(Rng, SkipNormalsWithCachedNormalMatchesDraws)
+{
+    for (const uint64_t k : {0u, 1u, 2u, 3u, 8u, 9u, 5840u, 5841u})
+        expectSkipMatchesDraws(k, true);
+}
+
+TEST(Rng, SkipNormalsComposes)
+{
+    // Positioning block copies one skip at a time, as the wind
+    // model's shaping pass does, lands where one long skip does.
+    Rng stepped(7, "skip");
+    Rng once(7, "skip");
+    stepped.normal();
+    once.normal();
+    for (const uint64_t k : {3u, 5u, 8u})
+        stepped.skipNormals(k);
+    once.skipNormals(16);
+    EXPECT_EQ(std::bit_cast<uint64_t>(stepped.normal()),
+              std::bit_cast<uint64_t>(once.normal()));
+    EXPECT_EQ(stepped.nextU64(), once.nextU64());
 }
 
 } // namespace

@@ -28,6 +28,8 @@
 #include "obs/status.h"
 #include "scheduler/batched_engine.h"
 
+#include "counting_new.h"
+
 namespace carbonx
 {
 namespace
@@ -456,6 +458,67 @@ TEST(ParallelSweep, EvaluatorSplitsMissesIntoBalancedWavesForEveryWorker)
             EXPECT_EQ(busy, want);
         }
     }
+    std::remove(path.c_str());
+}
+
+TEST(ParallelSweep, AllHitEvaluateBuildsNoEngineOrBatches)
+{
+    // The engine and the per-worker 64-lane batches are built on the
+    // first miss: an evaluator whose every point is a cache hit
+    // builds neither, and replays the cold results bit for bit.
+    const ThreadCountGuard guard(2);
+    CarbonExplorer explorer(utahConfig());
+    const Strategy strategy = Strategy::RenewableBatteryCas;
+    std::vector<DesignPoint> points;
+    for (size_t i = 0; i < 24; ++i) {
+        points.push_back(DesignPoint{
+            MegaWatts(20.0 * static_cast<double>(i % 4)),
+            MegaWatts(25.0 * static_cast<double>(i / 4 % 3)),
+            MegaWattHours(30.0 * static_cast<double>(i / 12)),
+            Fraction(0.2)});
+    }
+    const std::string path =
+        testing::TempDir() + "parallel_sweep_all_hit.cxrc";
+    std::remove(path.c_str());
+    SweepResultCache cache(path, explorer.configDigest(strategy));
+    explorer.setSweepCache(&cache);
+
+    std::vector<Evaluation> cold(points.size());
+    SweepBatchEvaluator(explorer, strategy)
+        .evaluate(points.data(), points.size(), cold.data(), nullptr);
+
+    std::vector<Evaluation> warm(points.size());
+    g_allocation_count = 0;
+    g_count_allocations = true;
+    {
+        SweepBatchEvaluator evaluator(explorer, strategy);
+        evaluator.evaluate(points.data(), points.size(), warm.data(),
+                           nullptr);
+        EXPECT_EQ(evaluator.cacheHits(), points.size());
+        EXPECT_EQ(evaluator.simulatedPoints(), 0u);
+    }
+    g_count_allocations = false;
+    // The misses index and the (empty) wave body's std::function; one
+    // 64-lane batch alone would allocate far more.
+    EXPECT_LE(g_allocation_count.load(), 2u);
+    for (size_t i = 0; i < points.size(); ++i) {
+        SCOPED_TRACE("point " + std::to_string(i));
+        expectEvalBitIdentical(warm[i], cold[i]);
+    }
+
+    // A later miss on the same evaluator still builds and simulates.
+    SweepBatchEvaluator evaluator(explorer, strategy);
+    const DesignPoint fresh{MegaWatts(35.0), MegaWatts(45.0),
+                            MegaWattHours(15.0), Fraction(0.2)};
+    Evaluation hit;
+    Evaluation missed;
+    evaluator.evaluate(points.data(), 1, &hit, nullptr);
+    evaluator.evaluate(&fresh, 1, &missed, nullptr);
+    EXPECT_EQ(evaluator.simulatedPoints(), 1u);
+    expectEvalBitIdentical(hit, cold[0]);
+    explorer.setSweepCache(nullptr);
+    const Evaluation direct = explorer.evaluate(fresh, strategy);
+    expectEvalBitIdentical(missed, direct);
     std::remove(path.c_str());
 }
 

@@ -123,6 +123,7 @@ TEST(BenchCli, SmokeWritesParseableReport)
     ASSERT_GE(scenarios.size(), 5u);
     bool saw_sweep = false;
     bool saw_greedy = false;
+    bool saw_build = false;
     for (const carbonx::JsonValue &s : scenarios) {
         const std::string name = s.at("name", "scenario").asString();
         EXPECT_GT(s.at("work_points", name).asNumber(), 0.0);
@@ -139,11 +140,19 @@ TEST(BenchCli, SmokeWritesParseableReport)
             EXPECT_TRUE(s.find("best_total_kg") != nullptr);
         }
         saw_greedy = saw_greedy || name == "greedy_schedule";
+        if (name == "explorer_build") {
+            // Ten constructions of the leap-year 2020 explorer.
+            saw_build = true;
+            EXPECT_DOUBLE_EQ(s.at("work_points", name).asNumber(),
+                             10.0 * 8784.0);
+            EXPECT_GT(s.at("best_total_kg", name).asNumber(), 0.0);
+        }
     }
     EXPECT_TRUE(saw_sweep);
     // The scheduler scenario is checked by the loop above like every
     // other: work_points, counters and profile children.
     EXPECT_TRUE(saw_greedy);
+    EXPECT_TRUE(saw_build);
 
     // A report always round-trips clean against itself.
     const CliRun self = runCli("bench --compare " + report +

@@ -4,7 +4,7 @@
  * suite and regression gate.
  *
  * Running the suite executes a fixed set of end-to-end scenarios
- * (exhaustive and batched sweeps, adaptive sweep cold/warm, recorded
+ * (explorer construction, exhaustive and batched sweeps, adaptive sweep cold/warm, recorded
  * simulation, explain, and greedy_schedule: a daily and an 8 h
  * windowed scheduler year, counted in scheduled hours) under the
  * phase profiler and writes a provenance-stamped

@@ -14,6 +14,7 @@
 #include "carbon/operational.h"
 #include "common/stats.h"
 #include "core/explorer.h"
+#include "grid/grid_synthesizer.h"
 #include "grid/pricing.h"
 #include "scheduler/greedy_scheduler.h"
 
@@ -33,8 +34,8 @@ main()
     const TimeSeries &intensity = explorer.gridIntensity();
     const auto &ba =
         BalancingAuthorityRegistry::instance().lookup(config.ba_code);
-    const TimeSeries price =
-        PriceModel().price(explorer.gridTrace(), ba);
+    const TimeSeries price = PriceModel().price(
+        GridSynthesizer(ba, config.seed).synthesize(config.year), ba);
 
     std::vector<double> p(price.values().begin(),
                           price.values().end());

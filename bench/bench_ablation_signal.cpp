@@ -11,6 +11,7 @@
 #include "bench_util.h"
 #include "carbon/operational.h"
 #include "core/explorer.h"
+#include "grid/grid_synthesizer.h"
 #include "scheduler/greedy_scheduler.h"
 
 int
@@ -27,8 +28,11 @@ main()
     const CarbonExplorer explorer(config);
     const TimeSeries &load = explorer.dcPower();
     const TimeSeries average = explorer.gridIntensity();
-    const TimeSeries marginal =
-        explorer.gridTrace().mix.marginalIntensity();
+    const auto &ba =
+        BalancingAuthorityRegistry::instance().lookup(config.ba_code);
+    const TimeSeries marginal = GridSynthesizer(ba, config.seed)
+                                    .synthesize(config.year)
+                                    .mix.marginalIntensity();
 
     SchedulerConfig sched;
     sched.capacity_cap_mw = MegaWatts(1.3 * explorer.dcPeakPowerMw());

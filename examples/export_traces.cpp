@@ -13,6 +13,7 @@
 
 #include "common/csv.h"
 #include "core/explorer.h"
+#include "grid/grid_synthesizer.h"
 
 int
 main(int argc, char **argv)
@@ -27,7 +28,11 @@ main(int argc, char **argv)
     config.avg_dc_power_mw = MegaWatts(19.0);
     config.flexible_ratio = Fraction(0.4);
     const CarbonExplorer explorer(config);
-    const GridTrace &grid = explorer.gridTrace();
+    const GridTrace grid =
+        GridSynthesizer(
+            BalancingAuthorityRegistry::instance().lookup(config.ba_code),
+            config.seed)
+            .synthesize(config.year);
     const TimeSeries &load = explorer.dcPower();
 
     // 1. Grid trace: per-fuel dispatch + intensity.

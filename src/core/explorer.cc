@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -48,12 +49,13 @@ makeGridTrace(const ExplorerConfig &config)
 }
 
 /**
- * Wrap external traces in a GridTrace (mix/demand left empty). Traces
- * built in code meet fromCsv's rules here: one year, every hour finite
- * and >= 0, so no NaN or negative intensity reaches the carbon sums.
+ * The intensity of external traces, once every trace has been checked.
+ * Traces built in code meet fromCsv's rules here: one year, every hour
+ * finite and >= 0, so no NaN or negative intensity reaches the carbon
+ * sums.
  */
-GridTrace
-traceFromExternal(const ExternalTraces &traces)
+const TimeSeries &
+checkedIntensity(const ExternalTraces &traces)
 {
     require(traces.dc_power.year() == traces.intensity.year() &&
                 traces.dc_power.year() == traces.solar_shape.year() &&
@@ -73,11 +75,7 @@ traceFromExternal(const ExternalTraces &traces)
                                 std::to_string(v));
         }
     }
-    GridTrace trace(traces.dc_power.year());
-    trace.intensity = traces.intensity;
-    trace.solar_potential = traces.solar_shape;
-    trace.wind_potential = traces.wind_shape;
-    return trace;
+    return traces.intensity;
 }
 
 /**
@@ -169,10 +167,14 @@ checkKnobs(const ExplorerConfig &config)
 } // namespace
 
 CarbonExplorer::CarbonExplorer(ExplorerConfig config)
-    : config_(std::move(config)), grid_trace_(makeGridTrace(config_)),
-      coverage_(makeDcPower(config_),
-                perUnitShape(grid_trace_.solar_potential),
-                perUnitShape(grid_trace_.wind_potential)),
+    : CarbonExplorer(config, makeGridTrace(config))
+{
+}
+
+CarbonExplorer::CarbonExplorer(ExplorerConfig config, GridTrace trace)
+    : config_(std::move(config)), intensity_(std::move(trace.intensity)),
+      coverage_(makeDcPower(config_), perUnitShape(trace.solar_potential),
+                perUnitShape(trace.wind_potential)),
       embodied_(config_.renewable_embodied, config_.server_spec),
       peak_power_mw_(coverage_.dcPower().max())
 {
@@ -181,7 +183,7 @@ CarbonExplorer::CarbonExplorer(ExplorerConfig config)
 
 CarbonExplorer::CarbonExplorer(ExplorerConfig config,
                                const ExternalTraces &traces)
-    : config_(std::move(config)), grid_trace_(traceFromExternal(traces)),
+    : config_(std::move(config)), intensity_(checkedIntensity(traces)),
       coverage_(traces.dc_power, traces.solar_shape, traces.wind_shape),
       embodied_(config_.renewable_embodied, config_.server_spec),
       peak_power_mw_(coverage_.dcPower().max())
@@ -269,7 +271,7 @@ CarbonExplorer::configDigest(Strategy strategy) const
                               values.size() * sizeof(double), digest);
     };
     fold(coverage_.dcPower());
-    fold(grid_trace_.intensity);
+    fold(intensity_);
     fold(coverage_.solarShape());
     fold(coverage_.windShape());
     return digest;
@@ -311,7 +313,7 @@ CarbonExplorer::runLane(const BatchLaneConfig &lane,
     const BatchedSimulationEngine engine(coverage_.dcPower(),
                                          coverage_.solarShape(),
                                          coverage_.windShape(),
-                                         &grid_trace_.intensity);
+                                         &intensity_);
     SimulationBatch batch(1);
     batch.addLane(lane);
     engine.run(batch, recorder);
@@ -424,7 +426,7 @@ CarbonExplorer::explain(const DesignPoint &point, Strategy strategy) const
     out.capacity_cap_mw = lane.capacity_cap_mw;
     out.battery_capacity_mwh = lane.battery_capacity_mwh;
     out.grid_only_kg = OperationalCarbonModel::gridEmissions(
-        coverage_.dcPower(), grid_trace_.intensity);
+        coverage_.dcPower(), intensity_);
     return out;
 }
 
@@ -503,7 +505,6 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
 {
     CARBONX_PROFILE("sweep/batch");
     static auto &c_points = obs::counter("explorer.points_evaluated");
-    static auto &h_point = obs::latency("explorer.point_eval_us");
     static auto &c_hits = obs::counter("sweep.cache_hits");
 
     SweepResultCache *cache = explorer_.sweep_cache_;
@@ -581,7 +582,7 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
     if (n > 0 && workspaces_ == nullptr) {
         workspaces_ = std::make_unique<Workspaces>(
             ex.coverage_.dcPower(), ex.coverage_.solarShape(),
-            ex.coverage_.windShape(), &ex.grid_trace_.intensity,
+            ex.coverage_.windShape(), &ex.intensity_,
             worker_ids_);
     }
     const size_t workers = std::max<size_t>(threadCount(), 1);
@@ -605,7 +606,6 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
         SweepWorkspace &ws = workspaces_->per_worker[worker];
         const size_t i0 = wave * n / waves;
         const size_t i1 = (wave + 1) * n / waves;
-        const auto run_start = std::chrono::steady_clock::now();
         {
             CARBONX_PROFILE("sweep/batch_fill");
             ws.batch.clear();
@@ -650,13 +650,6 @@ SweepBatchEvaluator::evaluate(const DesignPoint *points, size_t count,
         }
         if (status != nullptr)
             status->addWave(worker, i1 - i0, wave_best_kg);
-        // Point latency is sampled once per wave (mean over its
-        // lanes) — one clock read and one histogram lock instead of
-        // one per design point.
-        const std::chrono::duration<double, std::micro> run_us =
-            std::chrono::steady_clock::now() - run_start;
-        h_point.record(run_us.count() /
-                       static_cast<double>(i1 - i0));
         c_points.increment(i1 - i0);
     });
 
@@ -878,6 +871,38 @@ zoomRefine(const DesignSpace &space, int rounds, const SweepPass &pass)
     return result;
 }
 
+namespace
+{
+
+/**
+ * The smallest x in [0, @p max_x] whose coverage reaches @p target_pct,
+ * by 50 bisection steps over @p coverage_at; -1 (with a warning naming
+ * @p limit, e.g. "batteries up to 500 MWh") when even @p max_x falls
+ * short.
+ */
+double
+bisectForCoverage(const std::function<double(double)> &coverage_at,
+                  double target_pct, double max_x, const std::string &limit)
+{
+    if (coverage_at(max_x) < target_pct) {
+        warn("coverage target " + formatFixed(target_pct, 3) +
+             "% unreachable with " + limit + "; returning -1");
+        return -1.0;
+    }
+    double lo = 0.0;
+    double hi = max_x;
+    for (int iter = 0; iter < 50; ++iter) {
+        const double mid = 0.5 * (lo + hi);
+        if (coverage_at(mid) >= target_pct)
+            hi = mid;
+        else
+            lo = mid;
+    }
+    return hi;
+}
+
+} // namespace
+
 MegaWattHours
 CarbonExplorer::minimumBatteryForCoverage(MegaWatts solar_mw,
                                           MegaWatts wind_mw,
@@ -888,7 +913,7 @@ CarbonExplorer::minimumBatteryForCoverage(MegaWatts solar_mw,
     if (max_mwh.value() < 0.0)
         max_mwh = MegaWattHours(100.0 * config_.avg_dc_power_mw.value());
 
-    auto coverageAt = [&](double mwh) {
+    const auto coverage_at = [&](double mwh) {
         BatchLaneConfig lane = laneConfig(
             DesignPoint{solar_mw, wind_mw, MegaWattHours(mwh),
                         Fraction(0.0)},
@@ -898,23 +923,9 @@ CarbonExplorer::minimumBatteryForCoverage(MegaWatts solar_mw,
         lane.grid_charge_policy = GridChargePolicy::Never;
         return runLane(lane).coverage_pct;
     };
-
-    if (coverageAt(max_mwh.value()) < target_pct) {
-        warn("coverage target " + formatFixed(target_pct, 3) +
-             "% unreachable with batteries up to " +
-             formatFixed(max_mwh.value(), 0) + " MWh; returning -1");
-        return MegaWattHours(-1.0);
-    }
-    double lo = 0.0;
-    double hi = max_mwh.value();
-    for (int iter = 0; iter < 50; ++iter) {
-        const double mid = 0.5 * (lo + hi);
-        if (coverageAt(mid) >= target_pct)
-            hi = mid;
-        else
-            lo = mid;
-    }
-    return MegaWattHours(hi);
+    return MegaWattHours(bisectForCoverage(
+        coverage_at, target_pct, max_mwh.value(),
+        "batteries up to " + formatFixed(max_mwh.value(), 0) + " MWh"));
 }
 
 Fraction
@@ -924,30 +935,17 @@ CarbonExplorer::minimumExtraCapacityForCoverage(MegaWatts solar_mw,
                                                 Fraction max_extra) const
 {
     CARBONX_PROFILE("explorer/min_extra_capacity_bisect");
-    auto coverageAt = [&](double extra) {
+    const auto coverage_at = [&](double extra) {
         return runLane(laneConfig(DesignPoint{solar_mw, wind_mw,
                                               MegaWattHours(0.0),
                                               Fraction(extra)},
                                   Strategy::RenewableCas))
             .coverage_pct;
     };
-
-    if (coverageAt(max_extra.value()) < target_pct) {
-        warn("coverage target " + formatFixed(target_pct, 3) +
-             "% unreachable with extra capacity up to " +
-             formatFixed(max_extra.percent(), 0) + "%; returning -1");
-        return Fraction(-1.0);
-    }
-    double lo = 0.0;
-    double hi = max_extra.value();
-    for (int iter = 0; iter < 50; ++iter) {
-        const double mid = 0.5 * (lo + hi);
-        if (coverageAt(mid) >= target_pct)
-            hi = mid;
-        else
-            lo = mid;
-    }
-    return Fraction(hi);
+    return Fraction(bisectForCoverage(
+        coverage_at, target_pct, max_extra.value(),
+        "extra capacity up to " + formatFixed(max_extra.percent(), 0) +
+            "%"));
 }
 
 } // namespace carbonx

@@ -423,14 +423,16 @@ class CarbonExplorer
     }
 
     const ExplorerConfig &config() const { return config_; }
-    const GridTrace &gridTrace() const { return grid_trace_; }
     const TimeSeries &dcPower() const { return coverage_.dcPower(); }
-    const TimeSeries &gridIntensity() const { return grid_trace_.intensity; }
+    const TimeSeries &gridIntensity() const { return intensity_; }
     const CoverageAnalyzer &coverageAnalyzer() const { return coverage_; }
     MegaWatts dcPeakPowerMw() const { return peak_power_mw_; }
 
   private:
     friend class SweepBatchEvaluator;
+
+    /** The synthetic constructor's body, fed its synthesized year. */
+    CarbonExplorer(ExplorerConfig config, GridTrace trace);
 
     /** One exhaustive pass; @p pass tags progress reports. */
     OptimizationResult optimizePass(const DesignSpace &space,
@@ -456,7 +458,8 @@ class CarbonExplorer
                               const BatchLaneResult &lane) const;
 
     ExplorerConfig config_;
-    GridTrace grid_trace_;
+    /** The grid's hourly carbon intensity; the only grid series kept. */
+    TimeSeries intensity_;
     /**
      * Also holds the hourly demand and the per-unit solar/wind
      * shapes (one copy each).

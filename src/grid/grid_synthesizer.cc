@@ -79,8 +79,7 @@ GridSynthesizer::synthesize(int year, double renewable_scale) const
             "renewable scale must be non-negative");
 
     static auto &c_calls = obs::counter("grid.synthesize_calls");
-    static auto &h_synth = obs::latency("grid.synthesize_us");
-    CARBONX_PROFILE("grid/synthesize", &h_synth);
+    CARBONX_PROFILE("grid/synthesize");
     c_calls.increment();
 
     GridTrace trace(year);

@@ -1,10 +1,10 @@
 /**
  * @file
- * Process-wide metrics registry: named counters, gauges, and latency
- * histograms for the Carbon Explorer pipeline. Instruments are
- * registered on first use, live for the process lifetime, and are
- * safe to update from multiple threads, so the parallel-sweep work
- * that follows this layer does not need to retrofit locking.
+ * Process-wide metrics registry: named counters and gauges for the
+ * Carbon Explorer pipeline. Instruments are registered on first use,
+ * live for the process lifetime, and are safe to update from multiple
+ * threads. Phase timing is not kept here: CARBONX_PROFILE (profiler.h)
+ * is the one timer, read through the profile tree and the span trace.
  *
  * Hot paths should cache the returned instrument reference (e.g. in a
  * function-local static) instead of re-resolving the name per event;
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/counters.h"
-#include "common/histogram.h"
 
 namespace carbonx::obs
 {
@@ -58,50 +57,8 @@ class Gauge
 };
 
 /**
- * Latency distribution in microseconds. Samples land in log10-spaced
- * bins (reusing the fixed-bin Histogram) spanning 1 us to ~10 s;
- * count/sum/min/max are tracked exactly.
- */
-class LatencyHistogram
-{
-  public:
-    LatencyHistogram();
-
-    /** Record one sample of @p us microseconds. */
-    void record(double us);
-
-    uint64_t count() const;
-    double totalUs() const;
-    double minUs() const;
-    double maxUs() const;
-    double meanUs() const;
-
-    /** One log-spaced bin with its edges converted back to us. */
-    struct Bin
-    {
-        double lo_us = 0.0;
-        double hi_us = 0.0;
-        uint64_t count = 0;
-    };
-
-    /** Non-empty bins, in ascending latency order. */
-    std::vector<Bin> bins() const;
-
-    void reset();
-
-  private:
-    mutable std::mutex mutex_;
-    Histogram log_bins_;
-    uint64_t count_ = 0;
-    double sum_us_ = 0.0;
-    double min_us_ = 0.0;
-    double max_us_ = 0.0;
-};
-
-/**
  * The process-wide instrument registry. Lookup is mutex-protected;
- * updates on the returned instruments are lock-free (counters/gauges)
- * or take the instrument's own mutex (latency histograms).
+ * updates on the returned instruments are lock-free.
  */
 class MetricsRegistry
 {
@@ -111,7 +68,6 @@ class MetricsRegistry
     /** The common layer's counter(@p name). */
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    LatencyHistogram &latency(const std::string &name);
 
     /**
      * Snapshot of every counter, name -> value, sorted by name. The
@@ -122,27 +78,15 @@ class MetricsRegistry
     /** Human-readable fixed-width table of every instrument. */
     void writeText(std::ostream &os) const;
 
-    /** Machine-readable JSON object (counters/gauges/latencies). */
+    /** Machine-readable JSON object (counters/gauges). */
     void writeJson(std::ostream &os) const;
 
     /** Flat kind,name,field,value CSV. */
     void writeCsv(std::ostream &os) const;
 
     /**
-     * Prometheus text exposition format (version 0.0.4): one `# HELP`
-     * + `# TYPE` pair per metric, counters suffixed `_total`,
-     * histograms as cumulative `_bucket{le=...}` series plus `_sum`
-     * and `_count`. Metric names are sanitized to the Prometheus
-     * charset and prefixed `carbonx_` (`sweep.cache_hits` becomes
-     * `carbonx_sweep_cache_hits_total`). Groundwork for the
-     * `carbonx serve` roadmap item.
-     */
-    void dumpPrometheus(std::ostream &os) const;
-
-    /**
      * Write to @p path, picking the format from the extension:
-     * .json, .csv, .prom (Prometheus exposition), anything else gets
-     * the text table.
+     * .json, .csv, anything else gets the text table.
      */
     void writeFile(const std::string &path) const;
 
@@ -157,14 +101,10 @@ class MetricsRegistry
 
     mutable std::mutex mutex_;
     std::map<std::string, Gauge> gauges_;
-    std::map<std::string, LatencyHistogram> latencies_;
 };
 
 /** Shorthand for MetricsRegistry::instance().gauge(name). */
 Gauge &gauge(const std::string &name);
-
-/** Shorthand for MetricsRegistry::instance().latency(name). */
-LatencyHistogram &latency(const std::string &name);
 
 } // namespace carbonx::obs
 

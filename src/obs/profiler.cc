@@ -7,7 +7,6 @@
 
 #include "common/json.h"
 #include "common/table.h"
-#include "obs/metrics.h"
 
 namespace carbonx::obs
 {
@@ -215,9 +214,6 @@ ScopedPhase::finish()
                     .count()));
     if (traced_)
         SpanTracer::instance().record(name_, start_, end);
-    if (histogram_ != nullptr)
-        histogram_->record(
-            std::chrono::duration<double, std::micro>(elapsed).count());
 }
 
 void

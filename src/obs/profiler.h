@@ -6,15 +6,14 @@
  * Usage:
  *
  *     void GridSynthesizer::synthesize(...) {
- *         static auto &h_synth = obs::latency("grid.synthesize_us");
- *         CARBONX_PROFILE("grid/synthesize", &h_synth);
+ *         CARBONX_PROFILE("grid/synthesize");
  *         ...
  *     }
  *
  * One scope takes one start and one end instant and feeds every sink
- * that was on when it opened: the profile tree (PhaseProfiler), one
- * Chrome "X" event (SpanTracer), and the optional latency histogram,
- * which is always recorded.
+ * that was on when it opened: the profile tree (PhaseProfiler) and one
+ * Chrome "X" event (SpanTracer). It is the only phase timer in the
+ * library; per-phase time is read from those two sinks.
  *
  * Phases nest lexically per thread into a call tree; every node
  * accumulates count, total wall time, and min/max per entry. Each
@@ -22,10 +21,9 @@
  * folds all per-thread trees into one aggregate keyed by phase name,
  * with self time (total minus children) computed on export.
  *
- * The profiler and the tracer are disabled by default; with both off
- * and no histogram, a CARBONX_PROFILE costs two relaxed atomic loads
- * and reads no clock, so the macro stays in release hot paths.
- * Enabling only reads clocks — it never alters simulation arithmetic,
+ * The profiler and the tracer are disabled by default; with both off,
+ * a CARBONX_PROFILE costs two relaxed atomic loads and reads no clock,
+ * so the macro stays in release hot paths. Enabling only reads clocks — it never alters simulation arithmetic,
  * so sweeps stay bit-identical at any thread count with profiling or
  * tracing on.
  *
@@ -56,8 +54,6 @@
 
 namespace carbonx::obs
 {
-
-class LatencyHistogram;
 
 /** One node of the merged (cross-thread) phase tree. */
 struct ProfileNode
@@ -146,16 +142,12 @@ class ScopedPhase
     /**
      * @param name Phase label; a string literal (the profile tree
      *        keeps the pointer).
-     * @param histogram Optional latency histogram, recorded in
-     *        microseconds whether or not profiling or tracing is on.
      */
-    explicit ScopedPhase(const char *name,
-                         LatencyHistogram *histogram = nullptr)
+    explicit ScopedPhase(const char *name)
         : name_(name),
           node_(PhaseProfiler::instance().enabled()
                     ? PhaseProfiler::instance().beginPhase(name)
                     : nullptr),
-          histogram_(histogram),
           traced_(SpanTracer::instance().enabled())
     {
         if (timed())
@@ -172,17 +164,13 @@ class ScopedPhase
     }
 
   private:
-    bool timed() const
-    {
-        return node_ != nullptr || traced_ || histogram_ != nullptr;
-    }
+    bool timed() const { return node_ != nullptr || traced_; }
 
     /** Take the end instant and feed every sink captured at entry. */
     void finish();
 
     const char *name_;
     PhaseProfiler::Node *node_;
-    LatencyHistogram *histogram_;
     bool traced_;
     std::chrono::steady_clock::time_point start_;
 };
@@ -190,14 +178,10 @@ class ScopedPhase
 #define CARBONX_PROFILE_CONCAT2(a, b) a##b
 #define CARBONX_PROFILE_CONCAT(a, b) CARBONX_PROFILE_CONCAT2(a, b)
 
-/**
- * Time the enclosing scope as one phase named by a literal, optionally
- * also into a latency histogram: CARBONX_PROFILE("a/b") or
- * CARBONX_PROFILE("a/b", &histogram).
- */
-#define CARBONX_PROFILE(...)                                          \
+/** Time the enclosing scope as one phase named by a literal. */
+#define CARBONX_PROFILE(name)                                         \
     ::carbonx::obs::ScopedPhase CARBONX_PROFILE_CONCAT(               \
-        carbonx_phase_, __LINE__)(__VA_ARGS__)
+        carbonx_phase_, __LINE__)(name)
 
 } // namespace carbonx::obs
 

@@ -37,8 +37,7 @@ GreedyCarbonScheduler::schedule(const TimeSeries &dc_power,
 
     static auto &c_runs = obs::counter("scheduler.greedy_runs");
     static auto &g_moved = obs::gauge("scheduler.moved_mwh_total");
-    static auto &h_run = obs::latency("scheduler.greedy_us");
-    CARBONX_PROFILE("scheduler/greedy", &h_run);
+    CARBONX_PROFILE("scheduler/greedy");
     c_runs.increment();
 
     ScheduleResult result = config_.slo_window_hours.value() >= 24.0

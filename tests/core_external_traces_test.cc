@@ -312,12 +312,12 @@ TEST(ExternalTraces, SyntheticExportFeedsBackIdentically)
         testing::TempDir() + "/carbonx_export.csv";
     CsvTable csv({"dc_power_mw", "solar_mw", "wind_mw",
                   "intensity_g_per_kwh"});
-    const auto &grid = original.gridTrace();
+    const CoverageAnalyzer &coverage = original.coverageAnalyzer();
     for (size_t h = 0; h < original.dcPower().size(); ++h) {
         csv.addNumericRow({original.dcPower()[h],
-                           grid.solar_potential[h],
-                           grid.wind_potential[h],
-                           grid.intensity[h]});
+                           coverage.solarShape()[h],
+                           coverage.windShape()[h],
+                           original.gridIntensity()[h]});
     }
     csv.writeFile(path);
 

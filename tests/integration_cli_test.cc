@@ -221,12 +221,14 @@ TEST(Cli, OptimizeWritesMetricsAndTraceFiles)
     // counters/spans are the batch ones.
     EXPECT_NE(metrics.find("\"sim.batch_runs\""), std::string::npos);
     EXPECT_NE(metrics.find("\"sim.batch_lanes\""), std::string::npos);
-    EXPECT_NE(metrics.find("\"explorer.point_eval_us\""),
-              std::string::npos);
+    // The registry keeps no timings; per-point time is read from the
+    // trace's sweep/run_group waves.
+    EXPECT_EQ(metrics.find("\"latencies\""), std::string::npos);
 
     const std::string trace = readFile(trace_path);
     EXPECT_EQ(trace.rfind("{\"traceEvents\": [", 0), 0u);
     EXPECT_NE(trace.find("sweep/pass"), std::string::npos);
+    EXPECT_NE(trace.find("sweep/run_group"), std::string::npos);
     EXPECT_NE(trace.find("grid/synthesize"), std::string::npos);
     EXPECT_NE(trace.find("sim/batch_run"), std::string::npos);
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the metrics registry: counter/gauge/latency semantics,
- * text/JSON/CSV dumps, and thread-safety of concurrent increments.
+ * Tests of the metrics registry: counter/gauge semantics, text/JSON/CSV
+ * dumps, and thread-safety of concurrent increments.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/counters.h"
-#include "common/fnv.h"
 #include "obs/metrics.h"
 
 namespace carbonx::obs
@@ -60,46 +59,6 @@ TEST(Metrics, GaugeSetAndAdd)
     EXPECT_DOUBLE_EQ(g.value(), -1.0);
 }
 
-TEST(Metrics, LatencyHistogramTracksExactSummary)
-{
-    LatencyHistogram h;
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.meanUs(), 0.0);
-
-    h.record(10.0);
-    h.record(100.0);
-    h.record(1000.0);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_DOUBLE_EQ(h.totalUs(), 1110.0);
-    EXPECT_DOUBLE_EQ(h.minUs(), 10.0);
-    EXPECT_DOUBLE_EQ(h.maxUs(), 1000.0);
-    EXPECT_DOUBLE_EQ(h.meanUs(), 370.0);
-
-    // Three decades apart -> three distinct non-empty bins.
-    const auto bins = h.bins();
-    ASSERT_EQ(bins.size(), 3u);
-    uint64_t total = 0;
-    for (const auto &bin : bins) {
-        EXPECT_LT(bin.lo_us, bin.hi_us);
-        total += bin.count;
-    }
-    EXPECT_EQ(total, 3u);
-}
-
-TEST(Metrics, LatencyHistogramClampsOutliersIntoEdgeBins)
-{
-    LatencyHistogram h;
-    h.record(0.0);    // Below the 1 us bin floor.
-    h.record(1e9);    // Above the 10 s bin ceiling (1000 s).
-    EXPECT_EQ(h.count(), 2u);
-    EXPECT_DOUBLE_EQ(h.minUs(), 0.0);
-    EXPECT_DOUBLE_EQ(h.maxUs(), 1e9);
-    uint64_t total = 0;
-    for (const auto &bin : h.bins())
-        total += bin.count;
-    EXPECT_EQ(total, 2u);
-}
-
 TEST(Metrics, RegistryReturnsStableNamedInstruments)
 {
     auto &registry = MetricsRegistry::instance();
@@ -124,8 +83,6 @@ TEST(Metrics, JsonDumpRoundTripsValues)
     registry.reset();
     registry.counter("test.json_counter").increment(123);
     registry.gauge("test.json_gauge").set(45.5);
-    registry.latency("test.json_latency").record(250.0);
-    registry.latency("test.json_latency").record(750.0);
 
     std::ostringstream os;
     registry.writeJson(os);
@@ -133,9 +90,8 @@ TEST(Metrics, JsonDumpRoundTripsValues)
 
     EXPECT_DOUBLE_EQ(jsonNumberAfter(json, "test.json_counter"), 123.0);
     EXPECT_DOUBLE_EQ(jsonNumberAfter(json, "test.json_gauge"), 45.5);
-    EXPECT_DOUBLE_EQ(jsonNumberAfter(json, "count"), 2.0);
-    EXPECT_DOUBLE_EQ(jsonNumberAfter(json, "total_us"), 1000.0);
-    EXPECT_DOUBLE_EQ(jsonNumberAfter(json, "mean_us"), 500.0);
+    // Phase timing lives in the profile tree and the span trace.
+    EXPECT_EQ(json.find("latencies"), std::string::npos);
 
     // Structural sanity: one object, balanced braces and brackets.
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
@@ -150,13 +106,11 @@ TEST(Metrics, TextAndCsvDumpsContainEveryInstrument)
     registry.reset();
     registry.counter("test.dump_counter").increment(5);
     registry.gauge("test.dump_gauge").set(1.5);
-    registry.latency("test.dump_latency").record(10.0);
 
     std::ostringstream text;
     registry.writeText(text);
     EXPECT_NE(text.str().find("test.dump_counter"), std::string::npos);
     EXPECT_NE(text.str().find("test.dump_gauge"), std::string::npos);
-    EXPECT_NE(text.str().find("test.dump_latency"), std::string::npos);
 
     std::ostringstream csv;
     registry.writeCsv(csv);
@@ -164,7 +118,7 @@ TEST(Metrics, TextAndCsvDumpsContainEveryInstrument)
               std::string::npos);
     EXPECT_NE(csv.str().find("counter,test.dump_counter,value,5"),
               std::string::npos);
-    EXPECT_NE(csv.str().find("latency,test.dump_latency,count,1"),
+    EXPECT_NE(csv.str().find("gauge,test.dump_gauge,value,1.5"),
               std::string::npos);
 }
 
@@ -183,12 +137,9 @@ TEST(Metrics, ConcurrentIncrementsLoseNothing)
             // exercised too, not just the atomic adds.
             auto &c = registry.counter("test.concurrent_counter");
             auto &g = registry.gauge("test.concurrent_gauge");
-            auto &h = registry.latency("test.concurrent_latency");
             for (int i = 0; i < kPerThread; ++i) {
                 c.increment();
                 g.add(0.5);
-                if (i % 100 == 0)
-                    h.record(static_cast<double>(i % 1000) + 1.0);
             }
         });
     }
@@ -199,136 +150,27 @@ TEST(Metrics, ConcurrentIncrementsLoseNothing)
               static_cast<uint64_t>(kThreads) * kPerThread);
     EXPECT_DOUBLE_EQ(registry.gauge("test.concurrent_gauge").value(),
                      0.5 * kThreads * kPerThread);
-    EXPECT_EQ(registry.latency("test.concurrent_latency").count(),
-              static_cast<uint64_t>(kThreads) * (kPerThread / 100));
-}
-
-TEST(Metrics, PrometheusDumpHasHelpTypeAndSuffixes)
-{
-    auto &registry = MetricsRegistry::instance();
-    registry.reset();
-    registry.counter("test.prom_counter").increment(7);
-    registry.gauge("test.prom_gauge").set(2.5);
-
-    std::ostringstream os;
-    registry.dumpPrometheus(os);
-    const std::string prom = os.str();
-
-    // Counters: carbonx_ prefix, dots sanitized, _total suffix, and
-    // the HELP/TYPE pair preceding the sample.
-    EXPECT_NE(prom.find("# HELP carbonx_test_prom_counter_total"),
-              std::string::npos);
-    EXPECT_NE(
-        prom.find("# TYPE carbonx_test_prom_counter_total counter"),
-        std::string::npos);
-    EXPECT_NE(prom.find("carbonx_test_prom_counter_total 7"),
-              std::string::npos);
-
-    EXPECT_NE(prom.find("# TYPE carbonx_test_prom_gauge gauge"),
-              std::string::npos);
-    EXPECT_NE(prom.find("carbonx_test_prom_gauge 2.5"),
-              std::string::npos);
-}
-
-TEST(Metrics, PrometheusHistogramBucketsAreCumulative)
-{
-    auto &registry = MetricsRegistry::instance();
-    registry.reset();
-    auto &h = registry.latency("test.prom_latency");
-    // Three samples across two distinct log bins.
-    h.record(10.0);
-    h.record(12.0);
-    h.record(10000.0);
-
-    std::ostringstream os;
-    registry.dumpPrometheus(os);
-    const std::string prom = os.str();
-
-    EXPECT_NE(prom.find("# TYPE carbonx_test_prom_latency histogram"),
-              std::string::npos);
-    // The cumulative series must end at the exact count via +Inf.
-    EXPECT_NE(prom.find("carbonx_test_prom_latency_bucket{le=\"+Inf\"} 3"),
-              std::string::npos);
-    EXPECT_NE(prom.find("carbonx_test_prom_latency_count 3"),
-              std::string::npos);
-    EXPECT_NE(prom.find("carbonx_test_prom_latency_sum 10022"),
-              std::string::npos);
-
-    // Bucket counts never decrease in exposition order.
-    uint64_t last = 0;
-    size_t pos = 0;
-    size_t buckets = 0;
-    const std::string needle =
-        "carbonx_test_prom_latency_bucket{le=\"";
-    while ((pos = prom.find(needle, pos)) != std::string::npos) {
-        const size_t close = prom.find("\"} ", pos);
-        ASSERT_NE(close, std::string::npos);
-        const uint64_t cumulative = std::stoull(prom.substr(close + 3));
-        EXPECT_GE(cumulative, last);
-        last = cumulative;
-        ++buckets;
-        pos = close;
-    }
-    EXPECT_GE(buckets, 3u); // Two non-empty bins plus +Inf.
-    EXPECT_EQ(last, 3u);
-}
-
-TEST(Metrics, PrometheusCollidingNamesGetDistinctStableSeries)
-{
-    auto &registry = MetricsRegistry::instance();
-    registry.reset();
-    // Both raw names sanitize to carbonx_test_collide_x; without
-    // disambiguation the second would silently merge into the first's
-    // scrape series.
-    registry.counter("test.collide.x").increment(3);
-    registry.counter("test.collide_x").increment(9);
-    // A lone name whose sanitized form nobody else claims must keep
-    // the plain spelling, suffix-free.
-    registry.counter("test.collide.alone").increment(1);
-
-    std::ostringstream os;
-    registry.dumpPrometheus(os);
-    const std::string prom = os.str();
-
-    // Each colliding raw name appears under a deterministic suffixed
-    // series carrying its own value.
-    const std::string dot_series =
-        "carbonx_test_collide_x_" +
-        fnvHex(fnv1a64String("test.collide.x")).substr(0, 8) +
-        "_total";
-    const std::string under_series =
-        "carbonx_test_collide_x_" +
-        fnvHex(fnv1a64String("test.collide_x")).substr(0, 8) +
-        "_total";
-    ASSERT_NE(dot_series, under_series);
-    EXPECT_NE(prom.find(dot_series + " 3"), std::string::npos);
-    EXPECT_NE(prom.find(under_series + " 9"), std::string::npos);
-    // The bare merged name must not be exported as a sample.
-    EXPECT_EQ(prom.find("\ncarbonx_test_collide_x_total "),
-              std::string::npos);
-    EXPECT_NE(prom.find("carbonx_test_collide_alone_total 1"),
-              std::string::npos);
-
-    // Determinism across dumps: same suffixes every time.
-    std::ostringstream again;
-    registry.dumpPrometheus(again);
-    EXPECT_EQ(prom, again.str());
 }
 
 TEST(Metrics, WriteFileDispatchesPromExtension)
 {
+    // .prom is no format of its own: like any extension other than
+    // .json and .csv, it gets the text table.
     auto &registry = MetricsRegistry::instance();
     registry.reset();
     registry.counter("test.prom_file").increment(1);
 
-    const std::string path = "metrics_dispatch_test.prom";
-    registry.writeFile(path);
-    std::ifstream in(path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    EXPECT_NE(buf.str().find("carbonx_test_prom_file_total 1"),
-              std::string::npos);
-    std::remove(path.c_str());
+    std::ostringstream text;
+    registry.writeText(text);
+    for (const std::string path :
+         {"metrics_dispatch_test.prom", "metrics_dispatch_test.xyz"}) {
+        registry.writeFile(path);
+        std::ifstream in(path);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        EXPECT_EQ(buf.str(), text.str()) << path;
+        std::remove(path.c_str());
+    }
 }
 
 TEST(Metrics, HotCountersMergeIntoEveryDump)
@@ -341,11 +183,6 @@ TEST(Metrics, HotCountersMergeIntoEveryDump)
     registry.writeJson(json_os);
     EXPECT_DOUBLE_EQ(jsonNumberAfter(json_os.str(), "test.hot_merged"),
                      11.0);
-
-    std::ostringstream prom_os;
-    registry.dumpPrometheus(prom_os);
-    EXPECT_NE(prom_os.str().find("carbonx_test_hot_merged_total 11"),
-              std::string::npos);
 
     std::ostringstream csv_os;
     registry.writeCsv(csv_os);
